@@ -22,18 +22,6 @@ INPUT_LIMIT = 1 << 63
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-def _small_primes(limit: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return tuple(i for i in range(2, limit + 1) if sieve[i])
-
-
-_TRIAL_PRIMES = _small_primes(4096)
-
-
 def _check_limit(n: int, name: str = "n") -> None:
     if abs(n) > INPUT_LIMIT:
         raise ValueError(f"{name}={n} exceeds the supported range |{name}| <= 2^63")
@@ -216,6 +204,9 @@ def primes_up_to(y: int) -> list[int]:
     if y < 2:
         raise ValueError("primes_up_to expects y >= 2")
     return list(iter_primes(y))
+
+
+_TRIAL_PRIMES = tuple(primes_up_to(4096))
 
 
 def euler_phi(m: int) -> int:

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterable, Iterator, Union
 
-from .arith_core import is_square, kronecker, primes_up_to, squarefree_part
-
-EULER_GAMMA = 0.5772156649015329
+from .arith_core import is_square, iter_primes, kronecker, primes_up_to, squarefree_part
 
 _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
@@ -155,28 +153,36 @@ def _check_product_args(d: int, y: float, exact: bool) -> None:
         raise ValueError("y exceeds the supported range 10^8")
 
 
+def _characters(d: int, primes: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """(q, (d|q)) for each odd prime q of ``primes``, lazily and in order."""
+    for q in primes:
+        if q != 2:
+            yield q, kronecker(d, q)
+
+
+def _twisted(d: int, primes: Iterable[int], exact: bool) -> Union[float, Fraction]:
+    # the one ascending fold behind product_twisted and the exception scan
+    acc: Union[float, Fraction] = Fraction(1) if exact else 1.0
+    for q, chi in _characters(d, primes):
+        if chi:
+            acc *= Fraction(q - chi, q) if exact else 1.0 - chi / q
+    return acc
+
+
 def product_split(d: int, y: float, exact: bool = False) -> Union[float, Fraction]:
     """prod (1 - 2/q) over odd primes q <= y with (d|q) = 1, ascending."""
     _check_product_args(d, y, exact)
     acc: Union[float, Fraction] = Fraction(1) if exact else 1.0
-    for q in primes_up_to(int(y)):
-        if q == 2 or kronecker(d, q) != 1:
-            continue
-        acc *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
+    for q, chi in _characters(d, iter_primes(int(y))):
+        if chi == 1:
+            acc *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
     return acc
 
 
 def product_twisted(d: int, y: float, exact: bool = False) -> Union[float, Fraction]:
     """prod (1 - (d|q)/q) over odd primes q <= y, ascending."""
     _check_product_args(d, y, exact)
-    acc: Union[float, Fraction] = Fraction(1) if exact else 1.0
-    for q in primes_up_to(int(y)):
-        if q == 2:
-            continue
-        chi = kronecker(d, q)
-        if chi:
-            acc *= Fraction(q - chi, q) if exact else 1.0 - chi / q
-    return acc
+    return _twisted(d, iter_primes(int(y)), exact)
 
 
 def split_fraction(disc: int, a_coef: int, y: int) -> Fraction:
@@ -189,35 +195,34 @@ def split_fraction(disc: int, a_coef: int, y: int) -> Fraction:
         raise ValueError("y must be at least 3")
     excluded = 2 * a_coef * disc
     split = total = 0
-    for q in primes_up_to(y):
-        if q == 2 or excluded % q == 0:
-            continue
-        total += 1
-        if kronecker(disc, q) == 1:
-            split += 1
+    for q, chi in _characters(disc, primes_up_to(y)):
+        if excluded % q:
+            total += 1
+            split += chi == 1
+    if not total:
+        raise ValueError(f"every odd prime <= {y} divides 2aD = {excluded}")
     return Fraction(split, total)
 
 
 def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
     """Flag d in [2, limit] whose twisted product exceeds (loglog|3d|)^2.
 
-    The product is taken at the squarefree part of d.  Returns the flagged
-    d values and their fraction of the scanned range.
+    The product is taken at the squarefree part of d, once per distinct
+    part.  Returns the flagged d values and their fraction of the scanned
+    range.
     """
     if not 2 <= limit <= 10 ** 5:
         raise ValueError("limit must lie in [2, 10^5]")
     if y < 3 or y > _FLOAT_Y_LIMIT:
         raise ValueError("y must lie in [3, 10^8]")
-    odd_primes = [q for q in primes_up_to(int(y)) if q > 2]
+    primes = primes_up_to(int(y))
+    products: dict[int, float] = {}
     flagged = []
     for d in range(2, limit + 1):
         core = squarefree_part(d)
-        prod = 1.0
-        for q in odd_primes:
-            chi = kronecker(core, q)
-            if chi:
-                prod *= 1.0 - chi / q
-        if prod > math.log(math.log(3 * d)) ** 2:
+        if core not in products:
+            products[core] = _twisted(core, primes, False)
+        if products[core] > math.log(math.log(3 * d)) ** 2:
             flagged.append(d)
     return flagged, Fraction(len(flagged), limit - 1)
 

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .arith_core import big_omega_below, factorize, is_prime
 from .quad_poly import QuadPoly
-from .totient_range import inverse_totient
+from .totient_range import PREIMAGE_INPUT_LIMIT, inverse_totient
 
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
 _MIN_T = math.e  # loglog T must be positive
@@ -106,6 +106,8 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     """
     if not 1 <= n <= x:
         raise ValueError("classify requires 1 <= n <= x")
+    if poly.a < 0:  # the Case1 test p > 4ax is vacuous unless a > 0
+        raise ValueError(f"the case split needs a > 0, got a = {poly.a}")
     if t_cut <= _MIN_T:
         raise ValueError("T must exceed e so that loglog T is positive")
     value = poly(n)
@@ -115,7 +117,8 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     if not fiber.preimages:
         return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
     pm = fiber.p_max
-    assert value % (pm - 1) == 0  # p | m forces p - 1 | phi(m)
+    if value % (pm - 1):  # p | m forces p - 1 | phi(m)
+        raise ArithmeticError(f"p_max - 1 = {pm - 1} does not divide {value}")
     cofactor = value // (pm - 1)
     omega = big_omega_below(pm - 1, t_cut)
     if pm > 4 * poly.a * x:
@@ -139,7 +142,9 @@ def survey(
     """Classify every n in [1, x] and tally the cases."""
     if x < 1:
         raise ValueError("survey requires x >= 1")
-    poly(x)  # fail fast on range overflow before the sweep
+    # fail fast before the sweep; with a > 0 the largest value sits at an endpoint
+    if max(poly(1), poly(x)) > PREIMAGE_INPUT_LIMIT:
+        raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
     records: list[CaseRecord] = []
     for n in range(1, x + 1):

@@ -206,6 +206,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
+    if args.command == "survey" and args.poly.a < 0:
+        print(f"error: survey needs a > 0, got {args.poly.to_text()}", file=sys.stderr)
+        return 2
     if args.command == "survey" and not args.allow_reducible and not args.poly.is_irreducible():
         print(
             f"error: {args.poly.to_text()} is reducible (square discriminant "

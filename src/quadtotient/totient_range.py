@@ -7,19 +7,19 @@ descending order and closes each branch with the unique power of two
 whose phi equals whatever is left.  The enumeration is complete and needs
 no search bound.
 
-``totients_up_to`` counts distinct totient values <= x by sieving phi up
-to an explicit bound: m/phi(m) <= e^gamma * loglog m + 3/loglog m for all
-m >= 3, and m/(that bound) is increasing, so once the bound function at B
-exceeds x no m > B can have phi(m) <= x.
+``totients_up_to`` counts distinct totient values <= x by marking them
+directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
+distinct odd primes p, and every totient value is such a product times a
+power of two.  A depth-first walk over the odd primes <= x + 1 builds each
+product that stays <= x and marks its doubling chain in an (x + 1)-byte
+bitmap.
 """
 
 from __future__ import annotations
 
-import math
-from array import array
 from dataclasses import dataclass
 
-from .arith_core import factorize, is_prime
+from .arith_core import factorize, is_prime, primes_up_to
 
 PREIMAGE_INPUT_LIMIT = 1 << 50
 SIEVE_INPUT_LIMIT = 10 ** 7
@@ -27,8 +27,6 @@ SIEVE_INPUT_LIMIT = 10 ** 7
 # Every preimage m of n satisfies m <= K * n * loglog(n + 16) at desk
 # scale; the worst observed ratio over n <= 10^4 is 3.25 (at n = 8).
 PREIMAGE_GROWTH_K = 4
-
-_EULER_GAMMA = 0.5772156649015329
 
 
 class NontotientError(ValueError):
@@ -112,27 +110,6 @@ def p_max(n: int) -> int:
     return fiber.p_max
 
 
-def _ratio_bound(m: float) -> float:
-    # explicit bound on m/phi(m), valid for all m >= 3
-    ll = math.log(math.log(m))
-    return math.exp(_EULER_GAMMA) * ll + 3.0 / ll
-
-
-def preimage_sieve_bound(x: int) -> int:
-    """A bound B such that every m with phi(m) <= x satisfies m <= B."""
-    cap = 16 * x + 100
-    return max(100, int(x * _ratio_bound(cap)) + 1)
-
-
-def _phi_sieve(bound: int) -> array:
-    phi = array("q", range(bound + 1))
-    for p in range(2, bound + 1):
-        if phi[p] == p:
-            for k in range(p, bound + 1, p):
-                phi[k] -= phi[k] // p
-    return phi
-
-
 def totients_up_to(x: int, return_bitmap: bool = False):
     """V(x): the number of distinct totient values <= x.
 
@@ -143,13 +120,26 @@ def totients_up_to(x: int, return_bitmap: bool = False):
         raise ValueError("totients_up_to expects a positive integer")
     if x > SIEVE_INPUT_LIMIT:
         raise ValueError("totients_up_to supports x <= 10^7")
-    bound = preimage_sieve_bound(x)
-    phi = _phi_sieve(bound)
     bitmap = bytearray(x + 1)
-    for m in range(1, bound + 1):
-        v = phi[m]
-        if v <= x:
+    odd_primes = primes_up_to(x + 1)[1:]
+
+    def mark(start: int, acc: int) -> None:
+        # acc is phi of the odd part chosen so far; a set entry already
+        # carries its whole doubling chain, so the chain stops there
+        v = acc
+        while v <= x and not bitmap[v]:
             bitmap[v] = 1
+            v *= 2
+        for i in range(start, len(odd_primes)):
+            p = odd_primes[i]
+            contrib = acc * (p - 1)
+            if contrib > x:
+                break
+            while contrib <= x:
+                mark(i + 1, contrib)
+                contrib *= p
+
+    mark(0, 1)
     count = sum(bitmap)
     if return_bitmap:
         return count, bitmap

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from quadtotient import case_analysis
 from quadtotient import (
     Case,
     QuadPoly,
@@ -143,6 +144,23 @@ def test_smooth_case_implication():
 def test_survey_overflow_reported():
     with pytest.raises(OverflowError):
         survey(P, 1 << 33, 16.0, 0.76)
+
+
+def test_negative_leading_coefficient_rejected():
+    # p > 4ax is vacuous for a < 0: every hit of -x^2 + 10^6 would land in Case1
+    poly = QuadPoly(-1, 0, 10**6)
+    with pytest.raises(ValueError, match="a > 0"):
+        survey(poly, 100, 16.0, 0.76)
+    with pytest.raises(ValueError, match="a > 0"):
+        classify(poly, 1, 100, 16.0, 0.76)
+
+
+def test_survey_checks_preimage_limit_before_sweep(monkeypatch):
+    calls = []
+    monkeypatch.setattr(case_analysis, "classify", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="2\\^50"):
+        survey(QuadPoly(1 << 30, 0, 2), 2000, 16.0, 0.76)
+    assert not calls
 
 
 def test_csv_serialization():

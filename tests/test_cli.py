@@ -89,6 +89,14 @@ def test_survey_overflow_exit_3(capsys):
         ["survey", "--poly", "1,0,1", "--x", str(1 << 33)], capsys
     )
     assert code == 3 and "2^63" in err
+    code, _, err = run_cli(["survey", "--poly", "1073741824,0,2", "--x", "2000"], capsys)
+    assert code == 3 and "2^50" in err
+
+
+def test_survey_negative_leading_exit_2(capsys):
+    code, out, err = run_cli(["survey", "--poly=-1,0,1000000", "--x", "100"], capsys)
+    assert code == 2
+    assert not out and "a > 0" in err
 
 
 def test_invalid_polynomial_exit_2(capsys):

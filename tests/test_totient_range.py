@@ -1,6 +1,9 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtotient import (
     NontotientError,
@@ -11,7 +14,7 @@ from quadtotient import (
     p_max,
     totients_up_to,
 )
-from quadtotient.totient_range import PREIMAGE_GROWTH_K, preimage_sieve_bound
+from quadtotient.totient_range import PREIMAGE_GROWTH_K
 
 
 def test_fiber_examples():
@@ -100,9 +103,11 @@ def test_totients_up_to_examples(phi_map_1e5):
 
 
 def test_totients_up_to_bitmap(phi_map_1e5):
-    count, bitmap = totients_up_to(500, return_bitmap=True)
+    # the map holds every preimage of v <= 10^4: test_preimage_growth_bound
+    # caps them below 8.9 * 10^4
+    count, bitmap = totients_up_to(10**4, return_bitmap=True)
     assert count == sum(bitmap)
-    for v in range(1, 501):
+    for v in range(1, 10**4 + 1):
         assert bitmap[v] == (1 if v in phi_map_1e5 else 0), v
 
 
@@ -113,13 +118,22 @@ def test_totients_up_to_rejects_out_of_range():
         totients_up_to(10**7 + 1)
 
 
-def test_sieve_bound_is_safe():
-    # every preimage of every n <= x must sit at or below the sieve bound
-    x = 2000
-    bound = preimage_sieve_bound(x)
-    for n in range(1, x + 1):
-        fiber = inverse_totient(n)
-        assert all(m <= bound for m in fiber.preimages), n
+def test_totients_up_to_published_values():
+    assert totients_up_to(10**5) == 20254
+    assert totients_up_to(10**6) == 180184
+
+
+@functools.lru_cache(maxsize=None)
+def _totient_flags(limit: int) -> bytes:
+    return bytes([0] + [is_totient(v) for v in range(1, limit + 1)])
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=3000))
+def test_totients_up_to_matches_is_totient(x):
+    count, bitmap = totients_up_to(x, return_bitmap=True)
+    assert bytes(bitmap) == _totient_flags(3000)[: x + 1]
+    assert count == sum(bitmap)
 
 
 def test_density_ratio_non_increasing_small():
