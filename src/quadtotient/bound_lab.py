@@ -27,6 +27,8 @@ _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
 _FLOAT_Y_LIMIT = 10 ** 8
 
+_Product = Union[float, Fraction]
+
 
 @dataclass(frozen=True)
 class ExponentSolution:
@@ -160,29 +162,33 @@ def _characters(d: int, primes: Iterable[int]) -> Iterator[tuple[int, int]]:
             yield q, kronecker(d, q)
 
 
-def _twisted(d: int, primes: Iterable[int], exact: bool) -> Union[float, Fraction]:
-    # the one ascending fold behind product_twisted and the exception scan
-    acc: Union[float, Fraction] = Fraction(1) if exact else 1.0
+def _fold(d: int, primes: Iterable[int], exact: bool) -> tuple[_Product, _Product]:
+    # the one ascending walk behind both products and the exception scan;
+    # each product multiplies in its own factors in ascending order
+    split: _Product = Fraction(1) if exact else 1.0
+    twisted = split
     for q, chi in _characters(d, primes):
         if chi:
-            acc *= Fraction(q - chi, q) if exact else 1.0 - chi / q
-    return acc
+            twisted *= Fraction(q - chi, q) if exact else 1.0 - chi / q
+            if chi == 1:
+                split *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
+    return split, twisted
 
 
-def product_split(d: int, y: float, exact: bool = False) -> Union[float, Fraction]:
+def split_and_twisted(d: int, y: float, exact: bool = False) -> tuple[_Product, _Product]:
+    """(product_split(d, y), product_twisted(d, y)) from one walk over the primes <= y."""
+    _check_product_args(d, y, exact)
+    return _fold(d, iter_primes(int(y)), exact)
+
+
+def product_split(d: int, y: float, exact: bool = False) -> _Product:
     """prod (1 - 2/q) over odd primes q <= y with (d|q) = 1, ascending."""
-    _check_product_args(d, y, exact)
-    acc: Union[float, Fraction] = Fraction(1) if exact else 1.0
-    for q, chi in _characters(d, iter_primes(int(y))):
-        if chi == 1:
-            acc *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
-    return acc
+    return split_and_twisted(d, y, exact)[0]
 
 
-def product_twisted(d: int, y: float, exact: bool = False) -> Union[float, Fraction]:
+def product_twisted(d: int, y: float, exact: bool = False) -> _Product:
     """prod (1 - (d|q)/q) over odd primes q <= y, ascending."""
-    _check_product_args(d, y, exact)
-    return _twisted(d, iter_primes(int(y)), exact)
+    return split_and_twisted(d, y, exact)[1]
 
 
 def split_fraction(disc: int, a_coef: int, y: int) -> Fraction:
@@ -221,7 +227,7 @@ def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
     for d in range(2, limit + 1):
         core = squarefree_part(d)
         if core not in products:
-            products[core] = _twisted(core, primes, False)
+            products[core] = _fold(core, primes, False)[1]
         if products[core] > math.log(math.log(3 * d)) ** 2:
             flagged.append(d)
     return flagged, Fraction(len(flagged), limit - 1)

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith_core import big_omega_below, factorize, is_prime
+from .arith_core import factorize, is_prime
 from .quad_poly import QuadPoly
-from .totient_range import PREIMAGE_INPUT_LIMIT, inverse_totient
+from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime
 
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
 _MIN_T = math.e  # loglog T must be positive
@@ -113,14 +113,23 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     value = poly(n)
     if value < 1:
         raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
-    fiber = inverse_totient(value)
-    if not fiber.preimages:
+    if value % 2 and value > 1:  # phi(m) is even for every m > 2
         return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
-    pm = fiber.p_max
+    factorization = factorize(value)
+    pm = _largest_preimage_prime(value, factorization)
+    if not pm:
+        return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
     if value % (pm - 1):  # p | m forces p - 1 | phi(m)
         raise ArithmeticError(f"p_max - 1 = {pm - 1} does not divide {value}")
     cofactor = value // (pm - 1)
-    omega = big_omega_below(pm - 1, t_cut)
+    # p_max - 1 divides the value, so its primes are among the value's own
+    omega, rest = 0, pm - 1
+    for q, _ in factorization.factors:
+        if q >= t_cut:
+            break
+        while rest % q == 0:
+            rest //= q
+            omega += 1
     if pm > 4 * poly.a * x:
         case = Case.CASE1
     elif pm <= t_cut:
@@ -130,6 +139,21 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     else:
         case = Case.CASE3
     return CaseRecord(n, value, True, pm, cofactor, omega, case)
+
+
+def _check_positive(poly: QuadPoly, x: int) -> None:
+    """Raise before a sweep over n in [1, x] if some poly(n) is below 1.
+
+    The least value on [1, x] sits at an endpoint or at an integer next to
+    the vertex -b/2a.
+    """
+    vertex = -poly.b // (2 * poly.a)
+    points = sorted({1, x} | {min(max(n, 1), x) for n in (vertex, vertex + 1)})
+    values = [poly(n) for n in points]
+    low = min(values)
+    if low < 1:
+        n = points[values.index(low)]
+        raise ValueError(f"polynomial value at n={n} is {low}; must be positive")
 
 
 def survey(
@@ -142,7 +166,8 @@ def survey(
     """Classify every n in [1, x] and tally the cases."""
     if x < 1:
         raise ValueError("survey requires x >= 1")
-    # fail fast before the sweep; with a > 0 the largest value sits at an endpoint
+    _check_positive(poly, x)
+    # with a > 0 the largest value sits at an endpoint
     if max(poly(1), poly(x)) > PREIMAGE_INPUT_LIMIT:
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
@@ -173,13 +198,10 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
     """How many n <= x have poly(n) divisible by a square above bound."""
     if x < 1 or bound < 1:
         raise ValueError("square_divisor_count requires x >= 1 and bound >= 1")
-    poly(x)
+    _check_positive(poly, x)
     count = 0
     for n in range(1, x + 1):
-        value = poly(n)
-        if value < 1:
-            raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
-        if factorize(value).largest_square_divisor() > bound:
+        if factorize(poly(n)).largest_square_divisor() > bound:
             count += 1
     return count
 
@@ -188,13 +210,10 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n)."""
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
-    poly(x)
+    _check_positive(poly, x)
     count = 0
     for n in range(1, x + 1):
-        value = poly(n)
-        if value < 1:
-            raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
-        divisors = factorize(value).divisors()
+        divisors = factorize(poly(n)).divisors()
         if any(d + 1 > t_cut and is_prime(d + 1) for d in divisors):
             count += 1
     return Fraction(count, x)

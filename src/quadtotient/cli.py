@@ -18,11 +18,7 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .bound_lab import (
-    bounds_summary,
-    product_split,
-    product_twisted,
-)
+from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import ew_density_probe, square_divisor_count, survey, threshold_T
 from .quad_poly import QuadPoly, rho
 from .totient_range import inverse_totient
@@ -259,12 +255,8 @@ def _render(args: argparse.Namespace) -> str:
         return _json_line(summary, indent=2)
 
     if args.command == "products":
-        result = {
-            "d": args.d,
-            "y": args.y,
-            "split": product_split(args.d, args.y),
-            "twisted": product_twisted(args.d, args.y),
-        }
+        split, twisted = split_and_twisted(args.d, args.y)
+        result = {"d": args.d, "y": args.y, "split": split, "twisted": twisted}
         return _json_line(result, indent=2)
 
     if args.command == "probe":

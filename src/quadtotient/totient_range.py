@@ -1,11 +1,26 @@
 """The inverse image of Euler's totient function.
 
-``inverse_totient`` enumerates every m with phi(m) = n by assembling
-prime powers: an odd prime p can appear in m only if p - 1 divides n, so
-the recursion walks the divisors of n through candidate primes in
-descending order and closes each branch with the unique power of two
-whose phi equals whatever is left.  The enumeration is complete and needs
-no search bound.
+Every fiber query on an even n > 1 runs on one memoized search over the
+divisors of n.  An odd prime p can divide a preimage only if p - 1 divides
+n, so the search lists the divisors once and tests d + 1 for primality
+lazily, keeping each answer.  Its table holds, for each divisor r of n it
+reaches, the least possible largest odd prime of an m with phi(m) = r: 0
+when r is 1 or a power of two (m is then a power of two), infinity when r
+has no preimage.  An m with phi(m) = r whose largest odd prime is p, to
+the power k + 1, exists exactly when (p - 1) * p^k divides r and the table
+entry of r / ((p - 1) * p^k) is below p.  This is the divisor dynamic
+programming of Contini, Croot and Shparlinski (Math. Comp. 2006) and of
+Alekseyev (J. Integer Seq. 2016).
+
+``p_max`` and ``is_totient`` never list the fiber: the largest prime of
+any preimage of n is the first odd prime p, in descending order, that
+ends a preimage of n in this way (2 when n is a power of two and no odd
+prime does).  ``inverse_totient`` lists the whole fiber by assembling
+prime powers in descending order and closing each branch with the unique
+power of two whose phi equals whatever is left.  It walks only the primes
+p with p - 1 dividing what is left and enters a branch only when the
+table shows it closes, so every branch it enters yields a preimage.  The
+enumeration is complete and needs no search bound.
 
 ``totients_up_to`` counts distinct totient values <= x by marking them
 directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
@@ -17,9 +32,12 @@ bitmap.
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from typing import Iterator, Optional
 
-from .arith_core import factorize, is_prime, primes_up_to
+from .arith_core import Factorization, factorize, is_prime, primes_up_to
 
 PREIMAGE_INPUT_LIMIT = 1 << 50
 SIEVE_INPUT_LIMIT = 10 ** 7
@@ -46,49 +64,123 @@ class PreimageSet:
     p_max: int
 
 
+class _FiberSearch:
+    """The memoized divisor search over the fiber of one even n > 1."""
+
+    def __init__(self, n: int, factorization: Factorization) -> None:
+        self.n = n
+        self._divisors = factorization.divisors()
+        self._prime_after: dict[int, bool] = {}  # d -> d + 1 is an odd prime
+        self._screened = 1  # the divisors before this index are screened
+        self._candidates: list[int] = []  # the odd primes they give, ascending
+        self._least_top: dict[int, float] = {
+            d: 0 for d in self._divisors if d & (d - 1) == 0
+        }
+
+    def _is_prime_after(self, d: int) -> bool:
+        prime = self._prime_after.get(d)
+        if prime is None:
+            prime = self._prime_after[d] = d > 1 and is_prime(d + 1)
+        return prime
+
+    def candidates(self, r: int) -> list[int]:
+        """The odd primes p with p - 1 | n, ascending: all with p - 1 <= r, maybe more."""
+        divisors, i = self._divisors, self._screened
+        while i < len(divisors) and divisors[i] <= r:
+            if self._is_prime_after(divisors[i]):
+                self._candidates.append(divisors[i] + 1)
+            i += 1
+        self._screened = i
+        return self._candidates
+
+    def least_top(self, r: int) -> float:
+        """The least largest odd prime of an m with phi(m) = r, for r | n."""
+        least = self._least_top.get(r)
+        if least is None:
+            least = math.inf
+            if r % 2 == 0:  # an odd r > 1 has no preimage
+                for p in self.candidates(r):
+                    if p > r + 1:
+                        break
+                    if r % (p - 1) == 0 and any(self.closings(r, p)):
+                        least = p
+                        break
+            self._least_top[r] = least
+        return least
+
+    def closings(self, r: int, p: int) -> Iterator[tuple[int, int]]:
+        """(p^(k+1), r / ((p - 1) p^k)) for each k >= 0 at which the rest has
+        a preimage over primes below p; needs p - 1 | r."""
+        rest, power = r // (p - 1), p
+        while True:
+            if self.least_top(rest) < p:
+                yield power, rest
+            if rest % p:
+                return
+            rest //= p
+            power *= p
+
+    def largest_prime(self) -> int:
+        """The largest prime of any preimage of n, 0 when there is none."""
+        for d in reversed(self._divisors):
+            if self._is_prime_after(d) and any(self.closings(self.n, d + 1)):
+                return d + 1
+        return 2 if self.n & (self.n - 1) == 0 else 0
+
+
+def _check_fiber_arg(n: int, name: str) -> None:
+    if n < 1:
+        raise ValueError(f"{name} expects a positive integer")
+    if n > PREIMAGE_INPUT_LIMIT:
+        raise ValueError(f"{name} supports n <= 2^50")
+
+
+def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = None) -> int:
+    """The largest prime of any m with phi(m) = n, 0 when n is a nontotient.
+
+    ``factorization`` is that of n; without it n is factored if even.
+    """
+    _check_fiber_arg(n, "the fiber search")
+    if n == 1:
+        return 2
+    if n % 2 == 1:
+        return 0
+    if factorization is None:
+        factorization = factorize(n)
+    return _FiberSearch(n, factorization).largest_prime()
+
+
 def inverse_totient(n: int) -> PreimageSet:
     """Every m with phi(m) = n, ascending; empty iff n is a nontotient."""
-    if n < 1:
-        raise ValueError("inverse_totient expects a positive integer")
-    if n > PREIMAGE_INPUT_LIMIT:
-        raise ValueError("inverse_totient supports n <= 2^50")
+    _check_fiber_arg(n, "inverse_totient")
     if n == 1:
         return PreimageSet(1, (1, 2), 2)
     if n % 2 == 1:
         return PreimageSet(n, (), 0)
 
-    divisors = factorize(n).divisors()
-    odd_primes = sorted(
-        (d + 1 for d in divisors if d > 1 and is_prime(d + 1)), reverse=True
-    )
+    search = _FiberSearch(n, factorize(n))
+    primes = search.candidates(n)
     found: list[int] = []
-    best = 0
 
-    def assemble(start: int, remaining: int, acc: int, top: int) -> None:
-        nonlocal best
+    def assemble(stop: int, remaining: int, acc: int) -> None:
+        # primes[:stop] lie below every prime already placed in acc
         if remaining == 1:
             # odd part complete: m = acc or 2*acc
             found.append(acc)
             found.append(2 * acc)
-            best = max(best, top)
             return
         if remaining & (remaining - 1) == 0:
             # remaining = 2^j: close with the factor 2^(j+1)
             found.append(acc * 2 * remaining)
-            best = max(best, top if top else 2)
-        for i in range(start, len(odd_primes)):
-            p = odd_primes[i]
-            if remaining % (p - 1):
-                continue
-            contrib, part = p - 1, p
-            while remaining % contrib == 0:
-                assemble(i + 1, remaining // contrib, acc * part, top if top else p)
-                contrib *= p
-                part *= p
+        for i in reversed(range(min(stop, bisect_right(primes, remaining + 1)))):
+            p = primes[i]
+            if remaining % (p - 1) == 0:
+                for power, rest in search.closings(remaining, p):
+                    assemble(i, rest, acc * power)
 
-    assemble(0, n, 1, 0)
+    assemble(len(primes), n, 1)
     found.sort()
-    return PreimageSet(n, tuple(found), best if found else 0)
+    return PreimageSet(n, tuple(found), search.largest_prime())
 
 
 def is_totient(n: int) -> bool:
@@ -99,15 +191,15 @@ def is_totient(n: int) -> bool:
         return True
     if n % 2 == 1:
         return False
-    return bool(inverse_totient(n).preimages)
+    return _largest_preimage_prime(n) > 0
 
 
 def p_max(n: int) -> int:
     """The largest prime dividing any preimage of the totient value n."""
-    fiber = inverse_totient(n)
-    if not fiber.preimages:
+    top = _largest_preimage_prime(n)
+    if not top:
         raise NontotientError(f"{n} is not in the range of the totient function")
-    return fiber.p_max
+    return top
 
 
 def totients_up_to(x: int, return_bitmap: bool = False):

@@ -8,11 +8,13 @@ from quadtotient import (
     crossover_eps,
     crossover_inequality_holds,
     holder_objective,
+    kronecker,
     twisted_exception_scan,
     excess_factor_exponent,
     product_split,
     product_twisted,
     solve_balance_A,
+    split_and_twisted,
     split_fraction,
     squarefree_part,
     v1_exponent,
@@ -132,6 +134,23 @@ def test_product_exact_mode():
     assert product_twisted(5, 3, exact=True) == Fraction(4, 3)
     with pytest.raises(ValueError):
         product_split(5, 10**5, exact=True)
+
+
+def test_split_and_twisted_keep_each_fold_order():
+    # one walk, but each product multiplies its factors in ascending q
+    sieve = simple_prime_sieve(3000)
+    odd_primes = [q for q in range(3, 3001) if sieve[q]]
+    for d in (5, -4, 12, -7, 1):
+        chis = [(q, kronecker(d, q)) for q in odd_primes]
+        split = math.prod(1.0 - 2.0 / q for q, chi in chis if chi == 1)
+        twisted = math.prod(1.0 - chi / q for q, chi in chis if chi)
+        assert split_and_twisted(d, 3000) == (split, twisted)
+        assert (product_split(d, 3000), product_twisted(d, 3000)) == (split, twisted)
+        exact = (
+            math.prod(Fraction(q - 2, q) for q, chi in chis if chi == 1),
+            math.prod(Fraction(q - chi, q) for q, chi in chis if chi),
+        )
+        assert split_and_twisted(d, 3000, exact=True) == exact
 
 
 def test_product_guards():

@@ -7,6 +7,7 @@ from quadtotient import case_analysis
 from quadtotient import (
     Case,
     QuadPoly,
+    big_omega_below,
     classify,
     ew_density_probe,
     inverse_totient,
@@ -108,6 +109,7 @@ def test_record_invariants_and_reaggregation():
             continue
         assert rec.value % (rec.p_max - 1) == 0
         assert rec.v * (rec.p_max - 1) == rec.value
+        assert rec.omega_T_pm1 == big_omega_below(rec.p_max - 1, 12.0)
         if rec.case is Case.CASE1:
             assert rec.p_max > bound
         elif rec.case is Case.SMALL_P:
@@ -160,6 +162,30 @@ def test_survey_checks_preimage_limit_before_sweep(monkeypatch):
     monkeypatch.setattr(case_analysis, "classify", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="2\\^50"):
         survey(QuadPoly(1 << 30, 0, 2), 2000, 16.0, 0.76)
+    assert not calls
+
+
+DIPPING = QuadPoly(1, -100, 2000)  # positive at n = 1 and 100, -500 at the vertex n = 50
+
+
+def test_survey_checks_vertex_before_sweep(monkeypatch):
+    calls = []
+    monkeypatch.setattr(case_analysis, "classify", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match="n=50 is -500"):
+        survey(DIPPING, 100, 16.0, 0.76)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [lambda: ew_density_probe(DIPPING, 5.0, 100), lambda: square_divisor_count(DIPPING, 100, 4)],
+    ids=["ew_density_probe", "square_divisor_count"],
+)
+def test_sweeps_check_vertex_before_factoring(monkeypatch, sweep):
+    calls = []
+    monkeypatch.setattr(case_analysis, "factorize", calls.append)
+    with pytest.raises(ValueError, match="n=50 is -500"):
+        sweep()
     assert not calls
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -170,6 +171,22 @@ def test_byte_identical_reruns(capsys):
     assert b1 == b2
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["invphi", "41902660800"],
+         "71ac7ea6c1c03a0a1e824de24ce54cca7407c4049cbbacba6f3ed85cd8212830"),
+        (["survey", "--poly=5040,0,5040", "--x", "300", "--T", "50", "--format", "csv"],
+         "662e8f882d4de078f303e56a62ae42541f3fcc9105cd7fc530cbc083b14c3ca1"),
+    ],
+)
+def test_large_fiber_output_pinned(capsys, args, digest):
+    # digests of the output from before the fiber search, when every fiber was listed
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(
@@ -209,6 +226,13 @@ def test_nontotient_error_exit_3(capsys):
         ["probe", "--poly=-1,0,-1", "--T", "5", "--x", "10"], capsys
     )
     assert code == 3 and "positive" in err
+    for args in (
+        ["survey", "--poly=1,-100,2000", "--x", "100"],
+        ["probe", "--poly=1,-100,2000", "--T", "5", "--x", "100"],
+        ["squares", "--poly=1,-100,2000", "--x", "100", "--bound", "4"],
+    ):
+        code, out, err = run_cli(args, capsys)
+        assert code == 3 and not out and "n=50 is -500" in err
 
 
 def test_module_invocation_subprocess():

@@ -136,6 +136,46 @@ def test_totients_up_to_matches_is_totient(x):
     assert count == sum(bitmap)
 
 
+def _enumerated(n):
+    """(is_totient, p_max) read off the listed fiber, by factoring every preimage."""
+    fiber = inverse_totient(n).preimages
+    return bool(fiber), max((factorize(m).factors[-1][0] for m in fiber if m > 1), default=0)
+
+
+def _searched(n):
+    if not is_totient(n):
+        with pytest.raises(NontotientError):
+            p_max(n)
+        return False, 0
+    return True, p_max(n)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=5 * 10**4).map(lambda k: 2 * k))
+def test_search_matches_enumeration_and_sweep(phi_map_1e5, n):
+    fiber, listed = inverse_totient(n), _enumerated(n)
+    assert _searched(n) == listed
+    assert fiber.p_max == listed[1]
+    swept = phi_map_1e5.get(n, [])
+    assert [m for m in fiber.preimages if m <= 10**5] == swept
+    if swept:  # the sweep misses preimages above 10^5, so it bounds p_max below
+        assert max(factorize(m).factors[-1][0] for m in swept) <= p_max(n)
+
+
+@settings(deadline=None)
+@given(st.sampled_from((1, 2, 720, 5040)), st.integers(min_value=1, max_value=400))
+def test_search_matches_enumeration_on_quadratic_values(k, m):
+    n = k * (m * m + 1)
+    assert _searched(n) == _enumerated(n)
+
+
+def test_large_fibers_pinned():
+    # sizes and p_max as listed by the unpruned enumeration
+    assert len(inverse_totient(41902660800).preimages) == 61299
+    assert p_max(41902660800) == 1745944201
+    assert p_max(963761198400) == 96376119841
+
+
 def test_density_ratio_non_increasing_small():
     ratios = [totients_up_to(x) / x for x in (10**3, 10**4)]
     assert ratios[0] > ratios[1]
