@@ -6,6 +6,12 @@ prime-minus-one divisor), p <= T (only small primes), or the middle range
 T < p <= 4ax split by whether Omega_T(p - 1) clears A * loglog T.
 ``survey`` aggregates the bins over a full range; the report serializes
 to CSV (one row per n) or a JSON summary.
+
+The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
+factor each value once, by the root sieve ``quad_poly.factor_values``,
+and trial-divide none.  ``survey`` sieves only the n whose value is even,
+one residue class mod 2 or all n, since it rejects odd values above 1
+without factoring them; an always-odd quadratic is not sieved at all.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .arith_core import factorize, is_prime
-from .quad_poly import QuadPoly
+from .arith_core import Factorization, factorize, is_prime
+from .quad_poly import QuadPoly, _largest_value, factor_values
 from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime
 
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
@@ -98,11 +104,19 @@ def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
     return math.exp(((1.0 - delta) / a_param) * (math.log(x) / math.log(math.log(x))))
 
 
-def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> CaseRecord:
+def classify(
+    poly: QuadPoly,
+    n: int,
+    x: int,
+    t_cut: float,
+    a_param: float,
+    factorization: Optional[Factorization] = None,
+) -> CaseRecord:
     """Classify a single n <= x by the largest preimage prime of poly(n).
 
     Ties Omega_T(p - 1) == A * loglog T go to Case3 (the side whose bound
-    binds in the exponent balance).
+    binds in the exponent balance).  ``factorization`` is that of poly(n)
+    when the caller has it; otherwise an even value is factored here.
     """
     if not 1 <= n <= x:
         raise ValueError("classify requires 1 <= n <= x")
@@ -113,9 +127,12 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     value = poly(n)
     if value < 1:
         raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
+    if factorization is not None and factorization.value != value:
+        raise ValueError(f"factorization of {factorization.value} given for the value {value}")
     if value % 2 and value > 1:  # phi(m) is even for every m > 2
         return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
-    factorization = factorize(value)
+    if factorization is None:
+        factorization = factorize(value)
     pm = _largest_preimage_prime(value, factorization)
     if not pm:
         return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
@@ -141,21 +158,6 @@ def classify(poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float) -> Ca
     return CaseRecord(n, value, True, pm, cofactor, omega, case)
 
 
-def _check_positive(poly: QuadPoly, x: int) -> None:
-    """Raise before a sweep over n in [1, x] if some poly(n) is below 1.
-
-    The least value on [1, x] sits at an endpoint or at an integer next to
-    the vertex -b/2a.
-    """
-    vertex = -poly.b // (2 * poly.a)
-    points = sorted({1, x} | {min(max(n, 1), x) for n in (vertex, vertex + 1)})
-    values = [poly(n) for n in points]
-    low = min(values)
-    if low < 1:
-        n = points[values.index(low)]
-        raise ValueError(f"polynomial value at n={n} is {low}; must be positive")
-
-
 def survey(
     poly: QuadPoly,
     x: int,
@@ -163,17 +165,25 @@ def survey(
     a_param: float,
     keep_records: bool = False,
 ) -> CaseReport:
-    """Classify every n in [1, x] and tally the cases."""
+    """Classify every n in [1, x] and tally the cases.
+
+    The n with an even value are factored by the root sieve and their
+    factorizations handed to ``classify``.
+    """
     if x < 1:
         raise ValueError("survey requires x >= 1")
-    _check_positive(poly, x)
-    # with a > 0 the largest value sits at an endpoint
-    if max(poly(1), poly(x)) > PREIMAGE_INPUT_LIMIT:
+    if _largest_value(poly, x) > PREIMAGE_INPUT_LIMIT:
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
     records: list[CaseRecord] = []
+    # P(n) mod 2 follows n mod 2: the even values sit at every n, at one
+    # residue class mod 2, or nowhere
+    even = [n for n in (1, 2) if poly(n) % 2 == 0]
+    step = 1 if len(even) == 2 else 2
+    sieve = factor_values(poly, x, even[0], step) if even else iter(())
     for n in range(1, x + 1):
-        record = classify(poly, n, x, t_cut, a_param)
+        factorization = next(sieve) if poly(n) % 2 == 0 else None
+        record = classify(poly, n, x, t_cut, a_param, factorization)
         tallies[record.case] += 1
         if keep_records:
             records.append(record)
@@ -198,22 +208,21 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
     """How many n <= x have poly(n) divisible by a square above bound."""
     if x < 1 or bound < 1:
         raise ValueError("square_divisor_count requires x >= 1 and bound >= 1")
-    _check_positive(poly, x)
-    count = 0
-    for n in range(1, x + 1):
-        if factorize(poly(n)).largest_square_divisor() > bound:
-            count += 1
-    return count
+    _largest_value(poly, x)
+    return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
 
 
 def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n)."""
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
-    _check_positive(poly, x)
+    _largest_value(poly, x)
     count = 0
-    for n in range(1, x + 1):
-        divisors = factorize(poly(n)).divisors()
-        if any(d + 1 > t_cut and is_prime(d + 1) for d in divisors):
+    for factorization in factor_values(poly, x):
+        # an odd d > 1 makes d + 1 even, so only d = 1 and even d are tested
+        if any(
+            d + 1 > t_cut and (d % 2 == 0 or d == 1) and is_prime(d + 1)
+            for d in factorization.divisors()
+        ):
             count += 1
     return Fraction(count, x)

@@ -9,6 +9,18 @@ Kronecker symbol of the discriminant D (0 or 2 roots, constant across
 prime powers).  Singular primes -- p | 2aD, or p dividing all three
 coefficients -- are handled by exact lifting: content extraction first,
 then level-by-level Hensel steps with a brute split at singular roots.
+
+``factor_values`` factors a run of values P(n) at once with a root sieve
+(the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
+Numbers, section 6.1).  A prime p divides P(n) exactly when n falls on a
+root t of P mod p, so for each prime up to B = min(isqrt(max P), x) it
+divides p out of the values along n = t (mod p) and nowhere else; no
+value is trial-divided.  A cofactor left with no prime factor up to B is
+prime below (B + 1)^2 and otherwise goes to Miller-Rabin and Brent.  The
+values are held one segment of 1024 at a time.  Each root progression
+waits in the bucket of the segment holding its next term, so a segment
+visits only the primes that divide some value in it; the root lists of
+all primes up to B are kept.
 """
 
 from __future__ import annotations
@@ -16,8 +28,18 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
-from .arith_core import factorize, is_prime, is_square, kronecker, sqrt_mod_prime
+from .arith_core import (
+    Factorization,
+    _factor_into,
+    factorize,
+    is_prime,
+    is_square,
+    iter_primes,
+    kronecker,
+    sqrt_mod_prime,
+)
 
 COEF_LIMIT = 1 << 31
 VALUE_LIMIT = 1 << 63
@@ -25,6 +47,11 @@ VALUE_LIMIT = 1 << 63
 # Lifting keeps every root of every prime-power modulus in memory; beyond
 # this many residues the modulus is outside the supported range.
 _ROOT_SET_LIMIT = 1 << 21
+
+# Values held at once by the root sieve (the root lists are kept whole,
+# bucketed by the segment of their next term); a larger segment costs
+# memory for no measured speed-up.
+_SEGMENT = 1024
 
 
 class ParityClass(enum.Enum):
@@ -93,13 +120,27 @@ def _raw(poly: QuadPoly, n: int) -> int:
     return (poly.a * n + poly.b) * n + poly.c
 
 
-def _content_valuation(poly: QuadPoly, p: int) -> int:
+def _strip_content(poly: QuadPoly, p: int, r: int) -> tuple[int, QuadPoly]:
+    """Check the prime power p^r, then split off the content at p.
+
+    Returns (s, poly / p^s) where p^s is the largest power of p dividing
+    every coefficient, capped at s = r (the quotient is then unused).
+    """
+    if r < 1:
+        raise ValueError("exponent must be positive")
+    if not is_prime(p):
+        raise ValueError("modulus base must be prime")
+    if p ** r > VALUE_LIMIT:
+        raise ValueError("prime power exceeds the supported range 2^63")
     g = math.gcd(math.gcd(abs(poly.a), abs(poly.b)), abs(poly.c))
     s = 0
-    while g % p == 0:
+    while s < r and g % p == 0:
         g //= p
         s += 1
-    return s
+    if not s:
+        return 0, poly
+    scale = p ** s
+    return s, QuadPoly(poly.a // scale, poly.b // scale, poly.c // scale)
 
 
 def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
@@ -125,22 +166,11 @@ def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
     the remaining roots are lifted level by level, with a unique Hensel
     step where the derivative is invertible and a p-way split elsewhere.
     """
-    if r < 1:
-        raise ValueError("exponent must be positive")
-    if not is_prime(p):
-        raise ValueError("modulus base must be prime")
-    if p ** r > VALUE_LIMIT:
-        raise ValueError("prime power exceeds the supported range 2^63")
-    sigma = _content_valuation(poly, p)
-    if sigma >= r:
-        if p ** r > _ROOT_SET_LIMIT:
-            raise ValueError("root set too large to enumerate")
-        return list(range(p ** r))
-    if sigma > 0:
-        scale = p ** sigma
-        stripped = QuadPoly(poly.a // scale, poly.b // scale, poly.c // scale)
-        sub = prime_power_roots(stripped, p, r - sigma)
-        step = p ** (r - sigma)
+    sigma, stripped = _strip_content(poly, p, r)
+    if sigma:
+        # with the whole of p^r in the content every residue is a root
+        sub = prime_power_roots(stripped, p, r - sigma) if sigma < r else [0]
+        scale, step = p ** sigma, p ** (r - sigma)
         if len(sub) * scale > _ROOT_SET_LIMIT:
             raise ValueError("root set too large to enumerate")
         return sorted(t + j * step for t in sub for j in range(scale))
@@ -171,19 +201,9 @@ def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
     1 + kronecker(D, p) for every r; other primes are counted by exact
     lifting.
     """
-    if r < 1:
-        raise ValueError("exponent must be positive")
-    if not is_prime(p):
-        raise ValueError("modulus base must be prime")
-    if p ** r > VALUE_LIMIT:
-        raise ValueError("prime power exceeds the supported range 2^63")
-    sigma = _content_valuation(poly, p)
-    if sigma >= r:
-        return p ** r
-    if sigma > 0:
-        scale = p ** sigma
-        stripped = QuadPoly(poly.a // scale, poly.b // scale, poly.c // scale)
-        return scale * rho_prime_power(stripped, p, r - sigma)
+    sigma, stripped = _strip_content(poly, p, r)
+    if sigma:
+        return p ** sigma * (rho_prime_power(stripped, p, r - sigma) if sigma < r else 1)
     if p != 2 and poly.a % p != 0:
         disc = poly.discriminant()
         if disc % p != 0:
@@ -241,3 +261,81 @@ def reduce_at_root(poly: QuadPoly, v: int, t: int) -> QuadPoly:
     if value % v != 0:
         raise ValueError(f"v={v} does not divide the value at t={t}")
     return QuadPoly(poly.a * v, 2 * poly.a * t + poly.b, value // v + 1)
+
+
+def _largest_value(poly: QuadPoly, x: int) -> int:
+    """The largest of poly(1), ..., poly(x); ValueError if one is below 1.
+
+    Both extremes on [1, x] sit at an endpoint or at an integer next to
+    the vertex -b/2a.
+    """
+    vertex = -poly.b // (2 * poly.a)
+    points = sorted({1, x} | {min(max(n, 1), x) for n in (vertex, vertex + 1)})
+    values = [poly(n) for n in points]
+    low = min(values)
+    if low < 1:
+        n = points[values.index(low)]
+        raise ValueError(f"polynomial value at n={n} is {low}; must be positive")
+    return max(values)
+
+
+def factor_values(
+    poly: QuadPoly, x: int, start: int = 1, step: int = 1
+) -> Iterator[Factorization]:
+    """The factorizations of poly(n) for n = start, start + step, ... <= x, in order.
+
+    Every poly(1), ..., poly(x) must be positive; that and the 2^63 value
+    range are checked before anything is yielded.  Equal to factorize on
+    each value, by the root sieve described in the module docstring: on
+    the progression, a prime p not dividing ``step`` divides the terms
+    whose n is a root of poly mod p, and one dividing ``step`` divides
+    every term or none.
+    """
+    if start < 1 or step < 1:
+        raise ValueError("factor_values requires start >= 1 and step >= 1")
+    bound = min(math.isqrt(_largest_value(poly, x)), max(x, 2))
+    return _root_sieve(poly, range(start, x + 1, step), bound)
+
+
+def _root_sieve(poly: QuadPoly, ns: range, bound: int) -> Iterator[Factorization]:
+    # each hit (p, stride, k) is a progression of indices k, k + stride, ...
+    # whose terms ns[k] have a value divisible by p; it waits in the bucket
+    # of the segment holding its next index k, so a segment visits only the
+    # hits that fall in it
+    buckets: dict[int, list[tuple[int, int, int]]] = {}
+    for p in iter_primes(bound):
+        roots = prime_power_roots(poly, p, 1)
+        if ns.step % p and len(roots) < p:
+            inv = pow(ns.step, -1, p)
+            hits = [(p, p, (t - ns.start) * inv % p) for t in roots]
+        else:  # p divides every term or none
+            hits = [(p, 1, 0)] if _raw(poly, ns.start) % p == 0 else []
+        for hit in hits:
+            if hit[2] < len(ns):
+                buckets.setdefault(hit[2] // _SEGMENT, []).append(hit)
+    prime_below = (bound + 1) ** 2
+    for lo in range(0, len(ns), _SEGMENT):
+        values = [_raw(poly, n) for n in ns[lo : lo + _SEGMENT]]
+        rest = values[:]
+        found: list[list[tuple[int, int]]] = [[] for _ in values]
+        hi = lo + len(values)
+        for p, stride, k in buckets.pop(lo // _SEGMENT, ()):
+            for i in range(k - lo, len(values), stride):
+                r, e = rest[i] // p, 1
+                while r % p == 0:
+                    r //= p
+                    e += 1
+                rest[i] = r
+                found[i].append((p, e))
+            k += (hi - k + stride - 1) // stride * stride
+            if k < len(ns):
+                buckets.setdefault(k // _SEGMENT, []).append((p, stride, k))
+        for value, r, factors in zip(values, rest, found):
+            factors.sort()
+            if r >= prime_below:
+                exps: dict[int, int] = {}
+                _factor_into(r, exps)
+                factors.extend(sorted(exps.items()))
+            elif r > 1:
+                factors.append((r, 1))
+            yield Factorization(value, tuple(factors))

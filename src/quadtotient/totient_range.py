@@ -80,7 +80,8 @@ class _FiberSearch:
     def _is_prime_after(self, d: int) -> bool:
         prime = self._prime_after.get(d)
         if prime is None:
-            prime = self._prime_after[d] = d > 1 and is_prime(d + 1)
+            # d = 1 gives the even prime; an odd d > 1 gives an even d + 1
+            prime = self._prime_after[d] = d % 2 == 0 and is_prime(d + 1)
         return prime
 
     def candidates(self, r: int) -> list[int]:

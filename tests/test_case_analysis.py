@@ -2,14 +2,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quadtotient import case_analysis
+from quadtotient import arith_core, case_analysis, quad_poly, totient_range
 from quadtotient import (
     Case,
     QuadPoly,
     big_omega_below,
     classify,
     ew_density_probe,
+    factorize,
     inverse_totient,
     is_smooth,
     square_divisor_count,
@@ -66,6 +69,8 @@ def test_classify_guards():
         classify(P, 1, 10, 2.0, 0.76)  # T <= e
     with pytest.raises(ValueError):
         classify(QuadPoly(1, 0, -5), 2, 10, 5.0, 0.76)  # value -1
+    with pytest.raises(ValueError):
+        classify(P, 3, 10, 5.0, 0.76, factorize(P(5)))  # not P(3)'s factorization
 
 
 def test_survey_ground_truth():
@@ -184,6 +189,7 @@ def test_survey_checks_vertex_before_sweep(monkeypatch):
 def test_sweeps_check_vertex_before_factoring(monkeypatch, sweep):
     calls = []
     monkeypatch.setattr(case_analysis, "factorize", calls.append)
+    monkeypatch.setattr(case_analysis, "factor_values", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="n=50 is -500"):
         sweep()
     assert not calls
@@ -238,3 +244,36 @@ def test_ew_density_probe():
     # T beyond every P(n): only d = P(n) itself could qualify, and no
     # P(n) + 1 here is a prime above the cutoff
     assert ew_density_probe(P, 200, 10) == Fraction(0)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=1, max_value=200),
+    st.floats(min_value=1.0, max_value=500.0),
+    st.integers(min_value=1, max_value=400),
+)
+def test_sweeps_match_per_n_recount(prime_sieve_1e6, a, b, c, x, t_cut, bound):
+    poly = QuadPoly(a, b, c)
+    values = [(a * n + b) * n + c for n in range(1, x + 1)]
+    assume(min(values) >= 1)
+    assert max(values) < len(prime_sieve_1e6) - 1  # every d + 1 is in the table
+    probe = squares = 0
+    for value in values:
+        factors = factorize(value)
+        probe += any(d + 1 > t_cut and prime_sieve_1e6[d + 1] for d in factors.divisors())
+        square = math.prod(p ** (e - e % 2) for p, e in factors.factors)
+        squares += square > bound
+    assert ew_density_probe(poly, t_cut, x) == Fraction(probe, x)
+    assert square_divisor_count(poly, x, bound) == squares
+
+
+def test_always_odd_survey_does_no_primality_work(monkeypatch):
+    calls = []
+    for module in (arith_core, quad_poly, case_analysis, totient_range):
+        monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n))
+    monkeypatch.setattr(arith_core, "_brent_rho", lambda n: calls.append(n))
+    report = survey(QuadPoly(1, 1, 10**9 + 7), 3000, 50.0, 0.76)
+    assert report.nontotient == 3000 and not calls

@@ -187,6 +187,25 @@ def test_large_fiber_output_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["probe", "--poly=1,0,1", "--T", "50", "--x", "10000"],
+         "ac04712c00adff2e01d3d72d8bb402be87df6badf1d2da2d4c2417f4ac056d71"),
+        (["squares", "--poly=1,0,1", "--x", "10000", "--bound", "100"],
+         "fe104ef5b40ac5b1e9289404a366cbd505cb6d17e5161fb26105d55bfc5c1110"),
+        (["survey", "--poly=2097151,1,2", "--x", "3000", "--T", "1000", "--A", "0.7604",
+          "--format", "csv"],
+         "cf4d443231c0351fde7689e83a6927fd1aedff832f218fd5befc30810f7d419e"),
+    ],
+)
+def test_sweep_output_pinned(capsys, args, digest):
+    # digests of the output from before the root sieve, when every value was trial-divided
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(

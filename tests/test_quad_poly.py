@@ -1,10 +1,15 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from quadtotient import quad_poly
 from quadtotient import (
     ParityClass,
     QuadPoly,
+    factor_values,
+    factorize,
     kronecker,
     prime_power_roots,
     primes_up_to,
@@ -218,3 +223,100 @@ def test_reduce_at_root_progression_identity():
                 assert reduced.discriminant() == disc - 4 * poly.a * v
                 for u in range(101):
                     assert reduced(u) == poly(u * v + t) // v + 1
+
+
+def _sieve_matches_factorize(poly, x, start, step):
+    try:
+        got = list(factor_values(poly, x, start, step))
+    except ValueError:  # some value on [1, x] is below 1
+        assume(False)
+    assert got == [factorize(poly(n)) for n in range(start, x + 1, step)]
+
+
+_PROGRESSIONS = (st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=60),
+    st.integers(min_value=-60, max_value=60),
+    st.integers(min_value=1, max_value=10**4),
+    st.sampled_from((1, 2, 3, 4, 12, 25)),
+    st.integers(min_value=1, max_value=300),
+    *_PROGRESSIONS,
+)
+def test_factor_values_with_content(a, b, c, content, x, start, step):
+    _sieve_matches_factorize(QuadPoly(content * a, content * b, content * c), x, start, step)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=5000),
+    st.booleans(),
+    st.integers(min_value=1, max_value=300),
+    *_PROGRESSIONS,
+)
+def test_factor_values_singular_prime(p, k, m, c, in_disc, x, start, step):
+    # p | a, or p | D through p | b and p | c
+    poly = QuadPoly(k, p * m, p * c) if in_disc else QuadPoly(p * k, m, c)
+    _sieve_matches_factorize(poly, x, start, step)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=30),
+    st.integers(min_value=1, max_value=300),
+    *_PROGRESSIONS,
+)
+def test_factor_values_reducible(u, v, w, z, x, start, step):
+    # (u n + v)(w n + z)
+    _sieve_matches_factorize(QuadPoly(u * w, u * z + v * w, v * z), x, start, step)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    st.integers(min_value=2**20, max_value=2**31),
+    st.integers(min_value=0, max_value=2**31),
+    st.integers(min_value=1, max_value=2**31),
+    st.integers(min_value=1, max_value=200),
+)
+def test_factor_values_large(a, b, c, x):
+    # values up to about 2^46, with B <= 200: cofactors go to Miller-Rabin and Brent
+    _sieve_matches_factorize(QuadPoly(a, b, c), x, 1, 1)
+
+
+@pytest.mark.parametrize("coeffs", [(1, 0, 1), (12, 10, 2), (7, -3, 5)])
+@pytest.mark.parametrize("start, step", [(1, 1), (2, 2), (3, 5)])
+def test_factor_values_across_segments(coeffs, start, step):
+    poly, x = QuadPoly(*coeffs), 3 * quad_poly._SEGMENT + 7
+    expect = [factorize(poly(n)) for n in range(start, x + 1, step)]
+    assert list(factor_values(poly, x, start, step)) == expect
+
+
+def test_factor_values_reaches_brent(monkeypatch):
+    finished, factor_into = [], quad_poly._factor_into
+
+    def spy(n, out):
+        finished.append(n)
+        return factor_into(n, out)
+
+    monkeypatch.setattr(quad_poly, "_factor_into", spy)
+    poly = QuadPoly(2097151, 1, 2)
+    assert list(factor_values(poly, 200)) == [factorize(poly(n)) for n in range(1, 201)]
+    assert any(factorize(r).factors != ((r, 1),) for r in finished)  # a composite cofactor
+
+
+def test_factor_values_guards():
+    with pytest.raises(ValueError, match="n=50 is -500"):
+        factor_values(QuadPoly(1, -100, 2000), 100)
+    with pytest.raises(OverflowError):
+        factor_values(QuadPoly(2**31, 0, 0), 2**17)
+    with pytest.raises(ValueError):
+        factor_values(QuadPoly(1, 0, 1), 10, 0)
+    assert list(factor_values(QuadPoly(1, 0, 1), 10, 11)) == []
