@@ -151,12 +151,11 @@ def factorize(n: int) -> Factorization:
         while n % p == 0:
             exps[p] = exps.get(p, 0) + 1
             n //= p
-    if n > 1:
-        # nothing in the trial table divides n, so n below table_max^2 is prime
-        if n <= _TRIAL_PRIMES[-1] ** 2 or is_prime(n):
-            exps[n] = exps.get(n, 0) + 1
-        else:
-            _factor_into(n, exps)
+    # no trial prime divides n: below table_max^2 it is prime, above it _factor_into tests it
+    if n > _TRIAL_PRIMES[-1] ** 2:
+        _factor_into(n, exps)
+    elif n > 1:
+        exps[n] = 1
     return Factorization(value, tuple(sorted(exps.items())))
 
 
@@ -166,18 +165,7 @@ def iter_primes(limit: int) -> Iterator[int]:
         yield 2
     if limit < 3:
         return
-    root = math.isqrt(limit)
-    base: list[int] = []
-    if root >= 3:
-        half = (root - 1) // 2  # odds 3, 5, ... via index i -> 2i + 3
-        mark = bytearray(half)
-        for i in range(half):
-            if not mark[i]:
-                p = 2 * i + 3
-                base.append(p)
-                start = (p * p - 3) // 2
-                if start < half:
-                    mark[start::p] = b"\x01" * ((half - start - 1) // p + 1)
+    base = list(iter_primes(math.isqrt(limit)))[1:]  # the odd primes <= sqrt(limit)
     seg = 1 << 17
     low = 3
     while low <= limit:
@@ -257,29 +245,30 @@ def sqrt_mod_prime(a: int, p: int) -> set[int]:
     """All x in [0, p) with x^2 = a (mod p), for an odd prime p.
 
     Empty iff a is a nonresidue; {0} iff p divides a; two roots otherwise.
-    Uses the direct (p+1)/4 power when p = 3 (mod 4) and Tonelli-Shanks
-    for p = 1 (mod 4).
     """
     if p == 2 or not is_prime(p):
         raise ValueError("sqrt_mod_prime expects an odd prime modulus")
+    return _tonelli_shanks(a, p)
+
+
+def _tonelli_shanks(a: int, p: int) -> set[int]:
+    """sqrt_mod_prime without its guard, for a modulus known to be an odd prime."""
     a %= p
     if a == 0:
         return {0}
     if kronecker(a, p) == -1:
         return set()
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q //= 2
-            s += 1
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    if t != 1:  # else r is a root already, as always for p = 3 (mod 4)
         z = 2
         while kronecker(z, p) != -1:
             z += 1
         c = pow(z, q, p)
-        r = pow(a, (q + 1) // 2, p)
-        t = pow(a, q, p)
         m = s
         while t != 1:
             i, t2 = 0, t

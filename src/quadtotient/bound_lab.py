@@ -147,7 +147,7 @@ def _check_product_args(d: int, y: float, exact: bool) -> None:
         raise ValueError("d must be nonzero")
     if abs(d) > 1 << 63:
         raise ValueError("|d| exceeds the supported range 2^63")
-    if y < 3:
+    if not y >= 3:  # NaN fails here too
         raise ValueError("y must be at least 3")
     if exact and y > _EXACT_Y_LIMIT:
         raise ValueError("exact mode supports y <= 10^4")
@@ -219,7 +219,7 @@ def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
     """
     if not 2 <= limit <= 10 ** 5:
         raise ValueError("limit must lie in [2, 10^5]")
-    if y < 3 or y > _FLOAT_Y_LIMIT:
+    if not 3 <= y <= _FLOAT_Y_LIMIT:  # NaN fails here too
         raise ValueError("y must lie in [3, 10^8]")
     primes = primes_up_to(int(y))
     products: dict[int, float] = {}

@@ -122,8 +122,10 @@ def classify(
         raise ValueError("classify requires 1 <= n <= x")
     if poly.a < 0:  # the Case1 test p > 4ax is vacuous unless a > 0
         raise ValueError(f"the case split needs a > 0, got a = {poly.a}")
-    if t_cut <= _MIN_T:
+    if not t_cut > _MIN_T:  # NaN fails here too
         raise ValueError("T must exceed e so that loglog T is positive")
+    if math.isnan(a_param):
+        raise ValueError("A must be a number, got NaN")
     value = poly(n)
     if value < 1:
         raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
@@ -216,6 +218,8 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n)."""
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
+    if math.isnan(t_cut):
+        raise ValueError("T must be a number, got NaN")
     _largest_value(poly, x)
     count = 0
     for factorization in factor_values(poly, x):

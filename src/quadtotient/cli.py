@@ -51,13 +51,20 @@ def _positive_int(text: str) -> int:
     return n
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected a number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError("expected a finite number")
+    return value
+
+
 def _t_arg(text: str):
     if text.strip().lower() == "auto":
         return "auto"
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError("expected a number or 'auto'") from None
+    return _finite_float(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument(
         "--T", type=_t_arg, default="auto", help="cutoff, or 'auto' (clamped to >= 16)"
     )
-    p_survey.add_argument("--A", type=float, default=DEFAULT_A)
-    p_survey.add_argument("--delta", type=float, default=0.0)
+    p_survey.add_argument("--A", type=_finite_float, default=DEFAULT_A)
+    p_survey.add_argument("--delta", type=_finite_float, default=0.0)
     p_survey.add_argument("--format", choices=("csv", "json"), default="json")
     p_survey.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_survey.add_argument("--records", action="store_true", help="keep per-n records")
@@ -100,14 +107,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_prod = sub.add_parser("products", help="split and twisted prime products")
     p_prod.add_argument("--d", type=int, required=True)
-    p_prod.add_argument("--y", type=float, required=True)
+    p_prod.add_argument("--y", type=_finite_float, required=True)
     p_prod.add_argument("--out", default="-")
 
     p_probe = sub.add_parser(
         "probe", help="density of n <= x with a prime p > T, p - 1 | P(n)"
     )
     p_probe.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
-    p_probe.add_argument("--T", type=float, required=True)
+    p_probe.add_argument("--T", type=_finite_float, required=True)
     p_probe.add_argument("--x", type=_positive_int, required=True)
     p_probe.add_argument("--out", default="-")
 

@@ -15,12 +15,14 @@ then level-by-level Hensel steps with a brute split at singular roots.
 Numbers, section 6.1).  A prime p divides P(n) exactly when n falls on a
 root t of P mod p, so for each prime up to B = min(isqrt(max P), x) it
 divides p out of the values along n = t (mod p) and nowhere else; no
-value is trial-divided.  A cofactor left with no prime factor up to B is
-prime below (B + 1)^2 and otherwise goes to Miller-Rabin and Brent.  The
-values are held one segment of 1024 at a time.  Each root progression
-waits in the bucket of the segment holding its next term, so a segment
-visits only the primes that divide some value in it; the root lists of
-all primes up to B are kept.
+value is trial-divided.  The roots come from the quadratic formula mod p,
+the sieved primes are not tested again, and the content gcd(a, b, c) is
+taken once: a prime dividing it divides every value.  A cofactor left
+with no prime factor up to B is prime below (B + 1)^2 and otherwise goes
+to Miller-Rabin and Brent.  The values are held one segment of 1024 at a
+time.  Each root progression waits in the bucket of the segment holding
+its next term, so a segment visits only the primes that divide some value
+in it; the root lists of all primes up to B are kept.
 """
 
 from __future__ import annotations
@@ -33,12 +35,12 @@ from typing import Iterator
 from .arith_core import (
     Factorization,
     _factor_into,
+    _tonelli_shanks,
     factorize,
     is_prime,
     is_square,
     iter_primes,
     kronecker,
-    sqrt_mod_prime,
 )
 
 COEF_LIMIT = 1 << 31
@@ -144,15 +146,14 @@ def _strip_content(poly: QuadPoly, p: int, r: int) -> tuple[int, QuadPoly]:
 
 
 def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
-    """Roots of poly mod p, assuming p does not divide all coefficients."""
+    """Roots of poly mod p, for a prime p not dividing all coefficients."""
     if p == 2:
         return [t for t in (0, 1) if _raw(poly, t) % 2 == 0]
     if poly.a % p == 0:
         if poly.b % p != 0:
             return [(-poly.c * pow(poly.b, -1, p)) % p]
         return []  # a, b = 0 mod p forces c != 0 mod p: no roots
-    disc = poly.discriminant()
-    sqrts = sqrt_mod_prime(disc % p, p)
+    sqrts = _tonelli_shanks(poly.discriminant(), p)
     if not sqrts:
         return []
     inv2a = pow(2 * poly.a, -1, p)
@@ -293,6 +294,8 @@ def factor_values(
     """
     if start < 1 or step < 1:
         raise ValueError("factor_values requires start >= 1 and step >= 1")
+    if x < 1:
+        return iter(())
     bound = min(math.isqrt(_largest_value(poly, x)), max(x, 2))
     return _root_sieve(poly, range(start, x + 1, step), bound)
 
@@ -303,11 +306,11 @@ def _root_sieve(poly: QuadPoly, ns: range, bound: int) -> Iterator[Factorization
     # of the segment holding its next index k, so a segment visits only the
     # hits that fall in it
     buckets: dict[int, list[tuple[int, int, int]]] = {}
+    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
     for p in iter_primes(bound):
-        roots = prime_power_roots(poly, p, 1)
-        if ns.step % p and len(roots) < p:
+        if ns.step % p and content % p:
             inv = pow(ns.step, -1, p)
-            hits = [(p, p, (t - ns.start) * inv % p) for t in roots]
+            hits = [(p, p, (t - ns.start) * inv % p) for t in _roots_mod_prime(poly, p)]
         else:  # p divides every term or none
             hits = [(p, 1, 0)] if _raw(poly, ns.start) % p == 0 else []
         for hit in hits:

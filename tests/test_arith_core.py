@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from quadtotient import arith_core
 from quadtotient import (
     big_omega_below,
     euler_phi,
@@ -10,6 +11,7 @@ from quadtotient import (
     is_prime,
     is_smooth,
     is_square,
+    iter_primes,
     kronecker,
     omega_below,
     primes_up_to,
@@ -249,3 +251,45 @@ def test_primorial_ratio_tracks_loglog():
         theta += math.log(p)
     target = math.exp(0.5772156649015329) * math.log(theta)
     assert abs(ratio / target - 1) < 0.02
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        998244353,  # 119 * 2^23 + 1
+        469762049,  # 7 * 2^26 + 1
+        2013265921,  # 15 * 2^27 + 1
+        2**31 - 1,
+        2**61 - 1,
+    ],
+)
+def test_sqrt_mod_prime_deep_two_power(p):
+    rng = random.Random(p)
+    for _ in range(200):
+        a = rng.randrange(1, p)
+        roots = sqrt_mod_prime(a, p)
+        assert len(roots) == 1 + legendre_euler(a, p), a
+        assert all(0 <= r < p and r * r % p == a for r in roots), a
+        square = rng.randrange(1, p)
+        assert square in sqrt_mod_prime(square * square, p)
+
+
+def test_iter_primes_matches_sieve_at_segment_edges(prime_sieve_1e6):
+    edge = 1 << 18  # 2^17 odds per segment
+    for limit in [*range(-2, 3001), *range(edge - 3, edge + 4)]:
+        expected = [p for p in range(2, limit + 1) if prime_sieve_1e6[p]]
+        assert list(iter_primes(limit)) == expected, limit
+
+
+def test_factorize_tests_a_large_leftover_once(monkeypatch):
+    tested = []
+    prime_test = arith_core.is_prime
+
+    def spy(n):
+        tested.append(n)
+        return prime_test(n)
+
+    monkeypatch.setattr(arith_core, "is_prime", spy)
+    p, q = 1000003, 1000033
+    assert factorize(6 * p * q).factors == ((2, 1), (3, 1), (p, 1), (q, 1))
+    assert sorted(tested) == [p, q, p * q]

@@ -158,6 +158,10 @@ def test_product_guards():
         product_split(0, 20)
     with pytest.raises(ValueError):
         product_twisted(5, 2.5)
+    with pytest.raises(ValueError, match="at least 3"):
+        split_and_twisted(5, math.nan)
+    with pytest.raises(ValueError, match=r"\[3, 10\^8\]"):
+        twisted_exception_scan(10, math.nan)
 
 
 def test_split_identity_small():

@@ -71,6 +71,10 @@ def test_classify_guards():
         classify(QuadPoly(1, 0, -5), 2, 10, 5.0, 0.76)  # value -1
     with pytest.raises(ValueError):
         classify(P, 3, 10, 5.0, 0.76, factorize(P(5)))  # not P(3)'s factorization
+    with pytest.raises(ValueError):
+        classify(P, 1, 10, math.nan, 0.76)
+    with pytest.raises(ValueError):
+        classify(P, 1, 10, 50.0, math.nan)
 
 
 def test_survey_ground_truth():
@@ -244,6 +248,8 @@ def test_ew_density_probe():
     # T beyond every P(n): only d = P(n) itself could qualify, and no
     # P(n) + 1 here is a prime above the cutoff
     assert ew_density_probe(P, 200, 10) == Fraction(0)
+    with pytest.raises(ValueError):
+        ew_density_probe(P, math.nan, 10)
 
 
 @settings(deadline=None)

@@ -262,3 +262,22 @@ def test_module_invocation_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout == "4\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survey", "--poly", "1,0,1", "--x", "20", "--T", "nan"],
+        ["survey", "--poly", "1,0,1", "--x", "20", "--T", "inf"],
+        ["survey", "--poly", "1,0,1", "--x", "20", "--T", "50", "--A", "nan"],
+        ["survey", "--poly", "1,0,1", "--x", "20", "--delta=-inf"],
+        ["probe", "--poly", "1,0,1", "--x", "20", "--T", "nan"],
+        ["products", "--d", "5", "--y", "nan"],
+    ],
+)
+def test_non_finite_numbers_exit_2(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "finite" in captured.err

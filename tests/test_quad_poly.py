@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from quadtotient import quad_poly
+from quadtotient import arith_core, quad_poly
 from quadtotient import (
     ParityClass,
     QuadPoly,
@@ -320,3 +320,14 @@ def test_factor_values_guards():
     with pytest.raises(ValueError):
         factor_values(QuadPoly(1, 0, 1), 10, 0)
     assert list(factor_values(QuadPoly(1, 0, 1), 10, 11)) == []
+    assert list(factor_values(QuadPoly(1, 1, 0), 0)) == []  # P(0) = 0 lies outside [1, x]
+
+
+def test_factor_values_proves_no_sieved_prime_again(monkeypatch):
+    poly = QuadPoly(1, 0, 1)
+    expect = [factorize(poly(n)) for n in range(1, 1001)]
+    calls = []
+    for module in (arith_core, quad_poly):
+        monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n))
+    assert list(factor_values(poly, 1000)) == expect
+    assert not calls
