@@ -1,11 +1,11 @@
 """Exact integer arithmetic primitives.
 
 Primality, factorization, prime generation, Euler's phi, the Kronecker
-symbol, modular square roots, squarefree parts, smoothness and prime-factor
-counting.  Everything is deterministic: primality uses a fixed witness set
-that is complete far beyond 2^64, and the factorization fallback is a
-Brent-style cycle walk with a fixed parameter sequence, so repeated runs
-give identical results.
+symbol, modular square roots, squarefree parts and prime-factor counting.
+Everything is deterministic: primality uses a fixed witness set that is
+complete far beyond 2^64, and the factorization fallback is a Brent-style
+cycle walk with a fixed parameter sequence, so repeated runs give
+identical results.
 
 All operations are pure functions; inputs above 2^63 are rejected.
 """
@@ -37,14 +37,6 @@ class Factorization:
 
     value: int
     factors: tuple[tuple[int, int], ...]
-
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return len(self.factors)
-
-    def big_omega(self) -> int:
-        """Number of prime factors counted with multiplicity."""
-        return sum(e for _, e in self.factors)
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""
@@ -297,19 +289,9 @@ def squarefree_part(k: int) -> int:
 
 def big_omega_below(y: int, t: float) -> int:
     """Prime factors of y strictly below t, counted with multiplicity."""
+    if math.isnan(t):
+        raise ValueError("t must be a number, got NaN")
     return sum(e for p, e in factorize(y).factors if p < t)
-
-
-def omega_below(y: int, t: float) -> int:
-    """Distinct prime factors of y strictly below t."""
-    return sum(1 for p, _ in factorize(y).factors if p < t)
-
-
-def is_smooth(y: int, t: float) -> bool:
-    """True iff every prime factor of y is at most t (inclusive)."""
-    if t < 2:
-        raise ValueError("is_smooth expects t >= 2")
-    return all(p <= t for p, _ in factorize(y).factors)
 
 
 def is_square(k: int) -> bool:

@@ -21,7 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
-from .arith_core import is_square, iter_primes, kronecker, primes_up_to, squarefree_part
+from .arith_core import (
+    INPUT_LIMIT,
+    is_square,
+    iter_primes,
+    kronecker,
+    primes_up_to,
+    squarefree_part,
+)
 
 _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
@@ -145,7 +152,7 @@ def crossover_eps(tolerance: float = 1e-12) -> float:
 def _check_product_args(d: int, y: float, exact: bool) -> None:
     if d == 0:
         raise ValueError("d must be nonzero")
-    if abs(d) > 1 << 63:
+    if abs(d) > INPUT_LIMIT:
         raise ValueError("|d| exceeds the supported range 2^63")
     if not y >= 3:  # NaN fails here too
         raise ValueError("y must be at least 3")
@@ -197,7 +204,7 @@ def split_fraction(disc: int, a_coef: int, y: int) -> Fraction:
         raise ValueError("D and a must be nonzero")
     if is_square(disc):
         raise ValueError("square discriminant gives a degenerate character")
-    if y < 3:
+    if not y >= 3:  # NaN fails here too
         raise ValueError("y must be at least 3")
     excluded = 2 * a_coef * disc
     split = total = 0

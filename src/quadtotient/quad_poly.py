@@ -27,12 +27,12 @@ in it; the root lists of all primes up to B are kept.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterator
 
 from .arith_core import (
+    INPUT_LIMIT,
     Factorization,
     _factor_into,
     _tonelli_shanks,
@@ -44,7 +44,6 @@ from .arith_core import (
 )
 
 COEF_LIMIT = 1 << 31
-VALUE_LIMIT = 1 << 63
 
 # Lifting keeps every root of every prime-power modulus in memory; beyond
 # this many residues the modulus is outside the supported range.
@@ -54,12 +53,6 @@ _ROOT_SET_LIMIT = 1 << 21
 # bucketed by the segment of their next term); a larger segment costs
 # memory for no measured speed-up.
 _SEGMENT = 1024
-
-
-class ParityClass(enum.Enum):
-    ALWAYS_ODD = "AlwaysOdd"
-    NEVER_DIV_BY_4 = "NeverDivBy4"
-    GENERIC = "Generic"
 
 
 @dataclass(frozen=True)
@@ -98,7 +91,7 @@ class QuadPoly:
     def __call__(self, n: int) -> int:
         """Exact value at n; values beyond 2^63 in magnitude are rejected."""
         value = (self.a * n + self.b) * n + self.c
-        if abs(value) > VALUE_LIMIT:
+        if abs(value) > INPUT_LIMIT:
             raise OverflowError(
                 f"value at n={n} exceeds the supported range |value| <= 2^63"
             )
@@ -107,14 +100,6 @@ class QuadPoly:
     def is_irreducible(self) -> bool:
         """Irreducible over the rationals, i.e. the discriminant is not a square."""
         return not is_square(self.discriminant())
-
-    def parity_class(self) -> ParityClass:
-        residues = {(((self.a * n + self.b) * n + self.c) % 4) for n in range(4)}
-        if residues <= {1, 3}:
-            return ParityClass.ALWAYS_ODD
-        if 0 not in residues:
-            return ParityClass.NEVER_DIV_BY_4
-        return ParityClass.GENERIC
 
 
 def _raw(poly: QuadPoly, n: int) -> int:
@@ -132,7 +117,7 @@ def _strip_content(poly: QuadPoly, p: int, r: int) -> tuple[int, QuadPoly]:
         raise ValueError("exponent must be positive")
     if not is_prime(p):
         raise ValueError("modulus base must be prime")
-    if p ** r > VALUE_LIMIT:
+    if p ** r > INPUT_LIMIT:
         raise ValueError("prime power exceeds the supported range 2^63")
     g = math.gcd(math.gcd(abs(poly.a), abs(poly.b)), abs(poly.c))
     s = 0

@@ -9,11 +9,9 @@ from quadtotient import (
     euler_phi,
     factorize,
     is_prime,
-    is_smooth,
     is_square,
     iter_primes,
     kronecker,
-    omega_below,
     primes_up_to,
     sqrt_mod_prime,
     squarefree_part,
@@ -217,22 +215,13 @@ def test_squarefree_part_invariant():
 
 def test_omega_counters():
     assert big_omega_below(24, 10) == 4
-    assert omega_below(24, 10) == 2
     assert big_omega_below(35, 3) == 0
     assert big_omega_below(1, 7) == 0
-    assert omega_below(1, 7) == 0
     # strict inequality at the cutoff
     assert big_omega_below(25, 5) == 0
     assert big_omega_below(25, 5.5) == 2
-
-
-def test_is_smooth():
-    assert is_smooth(24, 5)
-    assert not is_smooth(14, 5)
-    assert is_smooth(1, 2)
-    assert is_smooth(25, 5)  # inclusive boundary
     with pytest.raises(ValueError):
-        is_smooth(10, 1.5)
+        big_omega_below(12, math.nan)
 
 
 def test_is_square():

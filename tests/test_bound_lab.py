@@ -191,6 +191,8 @@ def test_split_fraction_value():
         split_fraction(0, 1, 100)
     with pytest.raises(ValueError):
         split_fraction(5, 3, 5)  # 3 and 5 both divide 2aD: no prime left
+    with pytest.raises(ValueError):
+        split_fraction(5, 1, math.nan)
 
 
 def test_split_fraction_trend_to_half():

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from quadtotient.cli import main
+from quadtotient.cli import main, run
 
 SURVEY_CSV = """n,value,case,p_max,v,omega_T_pm1
 1,2,SmallP,3,1,1
@@ -136,6 +136,16 @@ def test_bounds(capsys):
     assert abs(data["v1_exponent"] - 0.05792) < 1e-5
     assert 1.74 < data["cor54_crossover"] < 1.75
     assert abs(data["holder_min"] - 0.94208) < 1e-5
+
+
+def test_console_entry_point(monkeypatch, capsys):
+    # run() is the [project.scripts] target: it reads sys.argv and exits
+    _, expected, _ = run_cli(["bounds"], capsys)
+    monkeypatch.setattr(sys, "argv", ["quadtotient", "bounds"])
+    with pytest.raises(SystemExit) as exit_info:
+        run()
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_products(capsys):

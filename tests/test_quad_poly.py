@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from quadtotient import arith_core, quad_poly
 from quadtotient import (
-    ParityClass,
     QuadPoly,
     factor_values,
     factorize,
@@ -74,22 +73,6 @@ def test_eval():
     assert QuadPoly(2, -1, 3)(10) == 193
     with pytest.raises(OverflowError):
         QuadPoly(1, 0, 1)(1 << 33)
-
-
-def test_parity_class_examples():
-    assert QuadPoly(1, 1, 1).parity_class() is ParityClass.ALWAYS_ODD
-    assert QuadPoly(1, 0, 1).parity_class() is ParityClass.NEVER_DIV_BY_4
-    assert QuadPoly(1, 0, 3).parity_class() is ParityClass.GENERIC
-
-
-def test_parity_class_matches_values():
-    for coeffs in BATTERY:
-        poly = QuadPoly(*coeffs)
-        values = [poly(n) for n in range(-10**4, 10**4 + 1)]
-        always_odd = all(v % 2 for v in values)
-        assert (poly.parity_class() is ParityClass.ALWAYS_ODD) == always_odd
-        if poly.parity_class() is ParityClass.NEVER_DIV_BY_4:
-            assert all(v % 4 for v in values)
 
 
 def test_rho_prime_power_examples():

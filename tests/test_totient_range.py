@@ -14,7 +14,6 @@ from quadtotient import (
     p_max,
     totients_up_to,
 )
-from quadtotient.totient_range import PREIMAGE_GROWTH_K
 
 
 def test_fiber_examples():
@@ -75,6 +74,9 @@ def test_p_max_minus_one_divides():
 
 
 def test_preimage_growth_bound():
+    # Every preimage m of n satisfies m <= K * n * loglog(n + 16) at desk
+    # scale; the worst observed ratio over n <= 10^4 is 3.25 (at n = 8).
+    PREIMAGE_GROWTH_K = 4
     for n in range(1, 10**4 + 1):
         fiber = inverse_totient(n)
         if fiber.preimages:
