@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator
 
 INPUT_LIMIT = 1 << 63
@@ -163,7 +164,7 @@ def iter_primes(limit: int) -> Iterator[int]:
     while low <= limit:
         size = min(seg, (limit - low) // 2 + 1)
         top = low + 2 * (size - 1)
-        mark = bytearray(size)
+        prime = bytearray(b"\x01") * size  # prime[i] for low + 2i
         for p in base:
             if p * p > top:
                 break
@@ -172,10 +173,8 @@ def iter_primes(limit: int) -> Iterator[int]:
                 start += p
             idx = (start - low) // 2
             if idx < size:
-                mark[idx::p] = b"\x01" * ((size - idx - 1) // p + 1)
-        for i in range(size):
-            if not mark[i]:
-                yield low + 2 * i
+                prime[idx::p] = bytes((size - idx - 1) // p + 1)
+        yield from compress(range(low, top + 1, 2), prime)
         low += 2 * size
 
 

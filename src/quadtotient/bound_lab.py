@@ -10,29 +10,39 @@ and only the natural log produces the companion constants e*log(2)/2 and
 
 Products over primes are accumulated in ascending order in float mode for
 reproducibility; an exact Fraction mode (y <= 10^4) calibrates the float
-error.  Root solving is bisection with sign-checked brackets, never a
-derivative method.
+error.  The characters rest on two facts about the Kronecker symbol: for
+odd q > 0, (d|q) depends only on q mod 4|d|, so when 4|d| <= 2^17 each
+residue class is evaluated once and read from a table after; and (d|q)
+is completely multiplicative in d, so the exception scan builds the
+column of characters of a composite squarefree part as the product of
+two smaller parts' columns.  The scan walks the primes in blocks, and
+keeps one column per part for the current block only.  Root solving is
+bisection with sign-checked brackets, never a derivative method.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from itertools import islice
+from operator import mul
+from typing import Iterable, Iterator, Optional, Union
 
 from .arith_core import (
     INPUT_LIMIT,
+    factorize,
     is_square,
     iter_primes,
     kronecker,
-    primes_up_to,
-    squarefree_part,
 )
 
 _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
 _FLOAT_Y_LIMIT = 10 ** 8
+_TABLE_LIMIT = 1 << 17  # largest modulus 4|d| given a residue table
+_BLOCK = 1 << 8  # odd primes per block of the exception scan
 
 _Product = Union[float, Fraction]
 
@@ -163,21 +173,42 @@ def _check_product_args(d: int, y: float, exact: bool) -> None:
 
 
 def _characters(d: int, primes: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(q, (d|q)) for each odd prime q of ``primes``, lazily and in order."""
+    """(q, (d|q)) for each odd prime q of ``primes``, lazily and in order.
+
+    For odd q > 0, (d|q) depends only on q mod 4|d|; when 4|d| is at most
+    _TABLE_LIMIT each residue's symbol is computed once and read back for
+    every later prime in its class.  Above that, residues seldom repeat
+    below y = 10^8, and each prime gets its own kronecker call.
+    """
+    modulus = 4 * abs(d)
+    # (d|q) + 2 at q mod 4|d|, 0 until a prime meets it
+    table = bytearray(modulus) if modulus <= _TABLE_LIMIT else None
     for q in primes:
         if q != 2:
-            yield q, kronecker(d, q)
+            shifted = table[q % modulus] if table else 0
+            if not shifted:
+                shifted = kronecker(d, q) + 2
+                if table:
+                    table[q % modulus] = shifted
+            yield q, shifted - 2
 
 
-def _fold(d: int, primes: Iterable[int], exact: bool) -> tuple[_Product, _Product]:
-    # the one ascending walk behind both products and the exception scan;
-    # each product multiplies in its own factors in ascending order
-    split: _Product = Fraction(1) if exact else 1.0
-    twisted = split
-    for q, chi in _characters(d, primes):
+def _fold(
+    pairs: Iterable[tuple[int, int]], twisted: _Product, split: Optional[_Product] = None
+) -> tuple[Optional[_Product], _Product]:
+    """Multiply the factors of each (q, (d|q)), ascending, into twisted and split.
+
+    The one walk behind both products and the exception scan.  Each
+    product multiplies in its own factors in ascending q, starting from the
+    value passed in, so a product carried across blocks of primes is the
+    product of one unbroken walk.  Fraction starts take exact factors;
+    split=None leaves the split product out.
+    """
+    exact = isinstance(twisted, Fraction)
+    for q, chi in pairs:
         if chi:
             twisted *= Fraction(q - chi, q) if exact else 1.0 - chi / q
-            if chi == 1:
+            if chi == 1 and split is not None:
                 split *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
     return split, twisted
 
@@ -185,7 +216,8 @@ def _fold(d: int, primes: Iterable[int], exact: bool) -> tuple[_Product, _Produc
 def split_and_twisted(d: int, y: float, exact: bool = False) -> tuple[_Product, _Product]:
     """(product_split(d, y), product_twisted(d, y)) from one walk over the primes <= y."""
     _check_product_args(d, y, exact)
-    return _fold(d, iter_primes(int(y)), exact)
+    one: _Product = Fraction(1) if exact else 1.0
+    return _fold(_characters(d, iter_primes(int(y))), one, one)
 
 
 def product_split(d: int, y: float, exact: bool = False) -> _Product:
@@ -198,23 +230,55 @@ def product_twisted(d: int, y: float, exact: bool = False) -> _Product:
     return split_and_twisted(d, y, exact)[1]
 
 
-def split_fraction(disc: int, a_coef: int, y: int) -> Fraction:
+def split_fraction(disc: int, a_coef: int, y: float) -> Fraction:
     """Fraction of odd primes q <= y, q not dividing 2aD, with (D|q) = 1."""
     if disc == 0 or a_coef == 0:
         raise ValueError("D and a must be nonzero")
     if is_square(disc):
         raise ValueError("square discriminant gives a degenerate character")
-    if not y >= 3:  # NaN fails here too
-        raise ValueError("y must be at least 3")
+    if not 3 <= y <= _FLOAT_Y_LIMIT:  # NaN fails here too
+        raise ValueError("y must lie in [3, 10^8]")
+    y = int(y)
     excluded = 2 * a_coef * disc
     split = total = 0
-    for q, chi in _characters(disc, primes_up_to(y)):
+    for q, chi in _characters(disc, iter_primes(y)):
         if excluded % q:
             total += 1
             split += chi == 1
     if not total:
         raise ValueError(f"every odd prime <= {y} divides 2aD = {excluded}")
     return Fraction(split, total)
+
+
+def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]:
+    """The core (squarefree part) of each d in [2, limit], and the twisted product at each core.
+
+    The odd primes <= y are walked in blocks of _BLOCK.  In each block a
+    core that is 1 or prime reads its column of characters from
+    _characters; any other core multiplies the columns of its least prime
+    and of the cofactor, both smaller cores, since (d|q) is completely
+    multiplicative in d.  Each product is carried from block to block
+    through _fold.
+    """
+    core_of = []
+    least: dict[int, int] = {}  # core -> its least prime, or 1 if it has one prime or none
+    for d in range(2, limit + 1):
+        odd = [p for p, e in factorize(d).factors if e % 2]  # the primes of squarefree_part(d)
+        core = math.prod(odd)
+        core_of.append(core)
+        least.setdefault(core, odd[0] if len(odd) > 1 else 1)
+    products = dict.fromkeys(least, 1.0)
+    odd_primes = islice(iter_primes(int(y)), 1, None)
+    while block := list(islice(odd_primes, _BLOCK)):
+        columns: dict[int, array] = {}  # core -> its characters at the block, as signed bytes
+        for core, p in least.items():  # a core is met first at d = core, after both its factors
+            if p == 1:
+                column = array("b", [chi for _, chi in _characters(core, block)])
+            else:
+                column = array("b", map(mul, columns[p], columns[core // p]))
+            columns[core] = column
+            products[core] = _fold(zip(block, column), products[core])[1]
+    return core_of, products
 
 
 def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
@@ -228,15 +292,12 @@ def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
         raise ValueError("limit must lie in [2, 10^5]")
     if not 3 <= y <= _FLOAT_Y_LIMIT:  # NaN fails here too
         raise ValueError("y must lie in [3, 10^8]")
-    primes = primes_up_to(int(y))
-    products: dict[int, float] = {}
-    flagged = []
-    for d in range(2, limit + 1):
-        core = squarefree_part(d)
-        if core not in products:
-            products[core] = _fold(core, primes, False)[1]
-        if products[core] > math.log(math.log(3 * d)) ** 2:
-            flagged.append(d)
+    core_of, products = _twisted_by_core(limit, y)
+    flagged = [
+        d
+        for d, core in enumerate(core_of, 2)
+        if products[core] > math.log(math.log(3 * d)) ** 2
+    ]
     return flagged, Fraction(len(flagged), limit - 1)
 
 

@@ -99,6 +99,9 @@ def test_primes_up_to_matches_independent_sieve(prime_sieve_1e6):
     assert primes_up_to(10**5) == expected
     # frozen: independent sieve gives 78498 primes below 10^6
     assert len(primes_up_to(10**6)) == 78498
+    # pi(3 * 10^6) and pi(10^7), across many sieve segments
+    assert len(primes_up_to(3 * 10**6)) == 216816
+    assert len(primes_up_to(10**7)) == 664579
 
 
 def test_euler_phi_trivia():

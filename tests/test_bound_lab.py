@@ -1,8 +1,12 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quadtotient import bound_lab
 from quadtotient import (
     b_exponent,
     crossover_eps,
@@ -193,6 +197,10 @@ def test_split_fraction_value():
         split_fraction(5, 3, 5)  # 3 and 5 both divide 2aD: no prime left
     with pytest.raises(ValueError):
         split_fraction(5, 1, math.nan)
+    assert split_fraction(5, 1, 100.0) == split_fraction(5, 1, 100.5) == Fraction(10, 23)
+    for too_far in (math.inf, 10**8 + 1, 10**9, 10**12):  # rejected before any prime is listed
+        with pytest.raises(ValueError, match=r"\[3, 10\^8\]"):
+            split_fraction(5, 1, too_far)
 
 
 def test_split_fraction_trend_to_half():
@@ -212,3 +220,78 @@ def test_twisted_exception_scan():
     assert fraction == Fraction(5, 99)
     # recorded finding: the scan fraction sits just above 0.05
     print(f"[finding] twisted-product exception fraction at (100, 1e4): {float(fraction):.4f}")
+
+
+def _odd_primes(y):
+    sieve = simple_prime_sieve(int(y))
+    return [q for q in range(3, int(y) + 1, 2) if sieve[q]]
+
+
+def _per_prime_fold(d, odd_primes, exact=False):
+    # reference: a direct kronecker call for each odd prime, one walk
+    split = twisted = Fraction(1) if exact else 1.0
+    for q in odd_primes:
+        chi = kronecker(d, q)
+        if chi:
+            twisted *= Fraction(q - chi, q) if exact else 1.0 - chi / q
+            if chi == 1:
+                split *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
+    return split, twisted
+
+
+def test_split_and_twisted_bit_identical_to_per_prime_fold():
+    # residue tables for 4|d| <= 2^17, per-prime symbols above; both signs,
+    # q | d, a square times a core, and y at a prime and just past it
+    for y in (3, 9973, 9974, 30011, 30012):
+        primes = _odd_primes(y)
+        for d in (5, -7, 1, -1, 2, -8, 3 * 7 * 11 * 13, -(3 * 7 * 11 * 13), 45, -12,
+                  1 << 15, (1 << 15) + 1, -(10**9 + 7), -(1 << 63), (1 << 61) - 1):
+            assert split_and_twisted(d, y) == _per_prime_fold(d, primes), (d, y)
+            if y <= 10**4:
+                exact = _per_prime_fold(d, primes, exact=True)
+                assert split_and_twisted(d, y, exact=True) == exact, (d, y)
+
+
+def test_twisted_exception_scan_bit_identical_to_per_core_fold():
+    # limits past 4 and 9 give core 1; y = 10^4 spans five blocks of odd primes
+    for limit, y in ((2, 10**3), (9, 3), (40, 10**4), (300, 3001), (600, 10**4)):
+        primes = _odd_primes(y)
+        cores = [squarefree_part(d) for d in range(2, limit + 1)]
+        products = {core: _per_prime_fold(core, primes)[1] for core in cores}
+        # every core's product, not only the few that cross the threshold
+        assert bound_lab._twisted_by_core(limit, y) == (cores, products), (limit, y)
+        flagged = [
+            d for d, core in enumerate(cores, 2)
+            if products[core] > math.log(math.log(3 * d)) ** 2
+        ]
+        expected = (flagged, Fraction(len(flagged), limit - 1))
+        assert twisted_exception_scan(limit, y) == expected, (limit, y)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(min_value=-(10**6), max_value=10**6).filter(bool),
+    st.integers(min_value=0, max_value=10**6),
+    st.integers(min_value=0, max_value=10**6),
+)
+def test_kronecker_periodic_in_odd_q(d, half, k):
+    # the fact behind the residue table: (d|q) depends only on q mod 4|d|
+    q = 2 * half + 1
+    assert kronecker(d, q) == kronecker(d, q + 4 * abs(d) * k)
+
+
+def _peak_mb(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_character_layer_memory_stays_bounded():
+    # no residue table above the bound (the per-prime walk peaks near 0.27 MB);
+    # the scan's columns span one block of primes (0.33 MB here, while one
+    # column over all 1,228 odd primes per core peaks near 0.96 MB)
+    assert _peak_mb(split_and_twisted, 10**9 + 7, 10**6) < 0.36
+    assert _peak_mb(twisted_exception_scan, 1000, 10**4) < 0.6
