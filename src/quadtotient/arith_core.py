@@ -2,10 +2,14 @@
 
 Primality, factorization, prime generation, Euler's phi, the Kronecker
 symbol, modular square roots, squarefree parts and prime-factor counting.
-Everything is deterministic: primality uses a fixed witness set that is
-complete far beyond 2^64, and the factorization fallback is a Brent-style
-cycle walk with a fixed parameter sequence, so repeated runs give
-identical results.
+Everything is deterministic: primality is a Miller-Rabin test whose prime
+witnesses are chosen by the size of n, from the minimal sets proved
+complete by Jaeschke (Math. Comp. 61, 1993) and Sorenson and Webster
+(Math. Comp. 86, 2017), OEIS A014233: the first 4 primes below
+3,215,031,751, the first 7 below 341,550,071,728,321, the first 9 below
+3,825,123,056,546,413,051, and all 12 primes up to 37 from there to 2^63.
+The factorization fallback is a Brent-style cycle walk with a fixed
+parameter sequence, so repeated runs give identical results.
 
 All operations are pure functions; inputs above 2^63 are rejected.
 """
@@ -19,8 +23,17 @@ from typing import Iterator
 
 INPUT_LIMIT = 1 << 63
 
-# Deterministic Miller-Rabin witnesses, complete for n < 3.3 * 10^24.
+# The first 12 primes: the small-prime divisibility screen, and the
+# Miller-Rabin witnesses, complete for n < 3.18 * 10^23.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, witnesses): the first k primes prove every n below the bound,
+# where the bound is the least strong pseudoprime to all k (OEIS A014233)
+_MR_SIZED = (
+    (3_215_031_751, _MR_WITNESSES[:4]),
+    (341_550_071_728_321, _MR_WITNESSES[:7]),
+    (3_825_123_056_546_413_051, _MR_WITNESSES[:9]),
+    (INPUT_LIMIT + 1, _MR_WITNESSES),
+)
 
 
 def _check_limit(n: int, name: str = "n") -> None:
@@ -74,7 +87,10 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_WITNESSES:
+    for bound, witnesses in _MR_SIZED:
+        if n < bound:
+            break
+    for a in witnesses:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -12,6 +12,17 @@ entry of r / ((p - 1) * p^k) is below p.  This is the divisor dynamic
 programming of Contini, Croot and Shparlinski (Math. Comp. 2006) and of
 Alekseyev (J. Integer Seq. 2016).
 
+The search uses the 2-adic structure of totients: phi(m) has a factor 2
+for each distinct odd prime of m, so a candidate p = d + 1 for a rest r
+whose d holds every factor 2 of r leaves an odd rest r / d, which only
+powers of p can fill.  Such a d is skipped before any primality test
+unless r / d is a power of p.  In particular a value n = 2 (mod 4), such
+as every even value of x^2 + 1, is phi(m) only for m = p^(k+1) or
+2 p^(k+1) with n = (p - 1) p^k.  Its largest preimage prime is read off
+its factorization with no divisor list: n + 1 when that is prime, else
+the odd prime q of n with q^e (q - 1) = n, where q^e is the full power of
+q in n, and none when neither exists.
+
 ``p_max`` and ``is_totient`` never list the fiber: the largest prime of
 any preimage of n is the first odd prime p, in descending order, that
 ends a preimage of n in this way (2 when n is a power of two and no odd
@@ -67,8 +78,8 @@ class _FiberSearch:
         self.n = n
         self._divisors = factorization.divisors()
         self._prime_after: dict[int, bool] = {}  # d -> d + 1 is an odd prime
-        self._screened = 1  # the divisors before this index are screened
-        self._candidates: list[int] = []  # the odd primes they give, ascending
+        # every d | n with d + 1 an odd prime, ascending, once listed() has run
+        self._listed: Optional[list[int]] = None
         self._least_top: dict[int, float] = {
             d: 0 for d in self._divisors if d & (d - 1) == 0
         }
@@ -80,15 +91,26 @@ class _FiberSearch:
             prime = self._prime_after[d] = d % 2 == 0 and is_prime(d + 1)
         return prime
 
-    def candidates(self, r: int) -> list[int]:
-        """The odd primes p with p - 1 | n, ascending: all with p - 1 <= r, maybe more."""
-        divisors, i = self._divisors, self._screened
-        while i < len(divisors) and divisors[i] <= r:
-            if self._is_prime_after(divisors[i]):
-                self._candidates.append(divisors[i] + 1)
-            i += 1
-        self._screened = i
-        return self._candidates
+    def _admits(self, r: int, d: int) -> bool:
+        """Whether p = d + 1 is an odd prime that may divide a preimage of r; needs d | r.
+
+        When d holds every factor 2 of r, the rest r / d is odd and only
+        powers of p can fill it, so d is dropped before any primality test
+        unless r / d is a power of p.
+        """
+        if d & -d == r & -r:
+            rest, p = r // d, d + 1
+            while rest % p == 0:
+                rest //= p
+            if rest != 1:
+                return False
+        return self._is_prime_after(d)
+
+    def listed(self) -> list[int]:
+        """Every d | n with d + 1 an odd prime, ascending."""
+        if self._listed is None:
+            self._listed = [d for d in self._divisors if self._is_prime_after(d)]
+        return self._listed
 
     def least_top(self, r: int) -> float:
         """The least largest odd prime of an m with phi(m) = r, for r | n."""
@@ -96,11 +118,13 @@ class _FiberSearch:
         if least is None:
             least = math.inf
             if r % 2 == 0:  # an odd r > 1 has no preimage
-                for p in self.candidates(r):
-                    if p > r + 1:
+                # the listed primes when inverse_totient has screened them all,
+                # else every divisor, pruned before it is tested
+                for d in self._listed or self._divisors:
+                    if d > r:
                         break
-                    if r % (p - 1) == 0 and any(self.closings(r, p)):
-                        least = p
+                    if r % d == 0 and self._admits(r, d) and any(self.closings(r, d + 1)):
+                        least = d + 1
                         break
             self._least_top[r] = least
         return least
@@ -120,7 +144,7 @@ class _FiberSearch:
     def largest_prime(self) -> int:
         """The largest prime of any preimage of n, 0 when there is none."""
         for d in reversed(self._divisors):
-            if self._is_prime_after(d) and any(self.closings(self.n, d + 1)):
+            if self._admits(self.n, d) and any(self.closings(self.n, d + 1)):
                 return d + 1
         return 2 if self.n & (self.n - 1) == 0 else 0
 
@@ -142,6 +166,16 @@ def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = Non
         return 2
     if n % 2 == 1:
         return 0
+    if n % 4 == 2:
+        # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
+        if is_prime(n + 1):
+            return n + 1
+        if factorization is None:
+            factorization = factorize(n)
+        for q, e in reversed(factorization.factors):
+            if (q - 1) * q ** e == n:
+                return q
+        return 0
     if factorization is None:
         factorization = factorize(n)
     return _FiberSearch(n, factorization).largest_prime()
@@ -156,11 +190,11 @@ def inverse_totient(n: int) -> PreimageSet:
         return PreimageSet(n, (), 0)
 
     search = _FiberSearch(n, factorize(n))
-    primes = search.candidates(n)
+    listed = search.listed()
     found: list[int] = []
 
     def assemble(stop: int, remaining: int, acc: int) -> None:
-        # primes[:stop] lie below every prime already placed in acc
+        # d + 1 for d in listed[:stop] lie below every prime already placed in acc
         if remaining == 1:
             # odd part complete: m = acc or 2*acc
             found.append(acc)
@@ -169,13 +203,13 @@ def inverse_totient(n: int) -> PreimageSet:
         if remaining & (remaining - 1) == 0:
             # remaining = 2^j: close with the factor 2^(j+1)
             found.append(acc * 2 * remaining)
-        for i in reversed(range(min(stop, bisect_right(primes, remaining + 1)))):
-            p = primes[i]
-            if remaining % (p - 1) == 0:
-                for power, rest in search.closings(remaining, p):
+        for i in reversed(range(min(stop, bisect_right(listed, remaining)))):
+            d = listed[i]
+            if remaining % d == 0:
+                for power, rest in search.closings(remaining, d + 1):
                     assemble(i, rest, acc * power)
 
-    assemble(len(primes), n, 1)
+    assemble(len(listed), n, 1)
     found.sort()
     return PreimageSet(n, tuple(found), search.largest_prime())
 

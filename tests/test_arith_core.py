@@ -34,6 +34,66 @@ def test_is_prime_matches_sieve(prime_sieve_1e6):
         assert is_prime(n) == bool(prime_sieve_1e6[n]), n
 
 
+_FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _strong_probable_prime(n, a):
+    """n passes the Miller-Rabin round to base a; n odd, n > a."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x in (1, n - 1):
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _twelve_base_reference(n):
+    """The fixed 12-base test, a screen by the first 12 primes and a round to each."""
+    if n < 2:
+        return False
+    for p in _FIRST_PRIMES:
+        if n % p == 0:
+            return n == p
+    return all(_strong_probable_prime(n, a) for a in _FIRST_PRIMES)
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        # the least strong pseudoprime to the first k primes (OEIS A014233)
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+    ],
+)
+def test_is_prime_rejects_the_witness_set_boundaries(n, k):
+    # each passes the first k witnesses, so a set sized one step too small
+    # would call it prime
+    assert all(_strong_probable_prime(n, a) for a in _FIRST_PRIMES[:k])
+    assert not is_prime(n)
+
+
+def test_is_prime_matches_twelve_bases_at_every_size():
+    # seeded odd inputs of every bit length up to 63, and (2k+1)(4k+1)
+    # products, whose factors make strong pseudoprimes to some bases common
+    rng = random.Random(8)
+    for _ in range(20000):
+        n = rng.getrandbits(rng.randint(3, 63)) | 1
+        assert is_prime(n) == _twelve_base_reference(n), n
+    for _ in range(5000):
+        k = rng.getrandbits(rng.randint(2, 30))
+        n = (2 * k + 1) * (4 * k + 1)
+        assert is_prime(n) == _twelve_base_reference(n) is False, n
+
+
 def test_is_prime_rejects_out_of_range():
     with pytest.raises(ValueError):
         is_prime((1 << 63) + 1)

@@ -166,6 +166,11 @@ def test_product_guards():
         split_and_twisted(5, math.nan)
     with pytest.raises(ValueError, match=r"\[3, 10\^8\]"):
         twisted_exception_scan(10, math.nan)
+    # work beyond the bound fails up front: these are about 3.5 * 10^11 and
+    # 5.8 * 10^7 (part, prime) steps, days and over half a minute
+    for limit, y in ((10**5, 10**8), (10**4, 10**5)):
+        with pytest.raises(ValueError, match="work bound 10\\^8"):
+            twisted_exception_scan(limit, y)
 
 
 def test_split_identity_small():

@@ -207,10 +207,17 @@ def test_large_fiber_output_pinned(capsys, args, digest):
         (["survey", "--poly=2097151,1,2", "--x", "3000", "--T", "1000", "--A", "0.7604",
           "--format", "csv"],
          "cf4d443231c0351fde7689e83a6927fd1aedff832f218fd5befc30810f7d419e"),
+        # values with two or more factors 2, which the fiber search serves
+        (["survey", "--poly=1,1,2", "--x", "5000", "--format", "csv"],
+         "d8aca8195aa4bd894b9f3ac498911c23681db88ab5107c7eba4679afcb875224"),
+        (["survey", "--poly=3,0,4", "--x", "5000", "--format", "csv"],
+         "d18b7fbe71c9a59d6664f31e97aeaea001f83674ad778ae25fd71b3435690cd3"),
     ],
 )
 def test_sweep_output_pinned(capsys, args, digest):
-    # digests of the output from before the root sieve, when every value was trial-divided
+    # digests of the output from before the root sieve, when every value was
+    # trial-divided, and (the last two) from before the 2-adic prune, when
+    # every even divisor d got a primality test of d + 1
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

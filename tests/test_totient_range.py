@@ -10,6 +10,7 @@ from quadtotient import (
     euler_phi,
     factorize,
     inverse_totient,
+    is_prime,
     is_totient,
     p_max,
     totients_up_to,
@@ -169,6 +170,72 @@ def test_search_matches_enumeration_and_sweep(phi_map_1e5, n):
 def test_search_matches_enumeration_on_quadratic_values(k, m):
     n = k * (m * m + 1)
     assert _searched(n) == _enumerated(n)
+
+
+def _unpruned_search(n):
+    """(is_totient, p_max) of an even n by the divisor search without the
+    2-adic prune or the v_2(n) = 1 read: every even divisor d of a rest
+    gets a primality test of d + 1."""
+    divisors = factorize(n).divisors()
+    least = {d: 0 for d in divisors if d & (d - 1) == 0}
+
+    def least_top(r):
+        # the least largest odd prime of an m with phi(m) = r
+        if r not in least:
+            least[r] = math.inf
+            if r % 2 == 0:  # an odd r > 1 has no preimage
+                for d in divisors:
+                    if d > r:
+                        break
+                    if d % 2 == 0 and r % d == 0 and is_prime(d + 1) and closes(r, d + 1):
+                        least[r] = d + 1
+                        break
+        return least[r]
+
+    def closes(r, p):
+        rest = r // (p - 1)
+        while least_top(rest) >= p:
+            if rest % p:
+                return False
+            rest //= p
+        return True
+
+    for d in reversed(divisors):
+        if d % 2 == 0 and is_prime(d + 1) and closes(n, d + 1):
+            return True, d + 1
+    return (True, 2) if n & (n - 1) == 0 else (False, 0)
+
+
+_SMALL_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+_EVEN_UP_TO_2_50 = st.one_of(
+    st.integers(min_value=1, max_value=1 << 49).map(lambda k: 2 * k),
+    # one factor 2, the case read straight from the factorization
+    st.integers(min_value=0, max_value=(1 << 48) - 1).map(lambda k: 4 * k + 2),
+    # smooth values, where totients and long divisor lists are common
+    st.tuples(
+        st.integers(min_value=1, max_value=20),
+        st.lists(st.sampled_from(_SMALL_PRIMES), max_size=12),
+    ).map(lambda t: (1 << t[0]) * math.prod(t[1])).filter(lambda n: n <= 1 << 50),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_EVEN_UP_TO_2_50)
+def test_pruned_search_matches_unpruned_search(n):
+    assert _searched(n) == _unpruned_search(n)
+
+
+def test_one_factor_two_matches_sweep(phi_map_1e5):
+    # n = 2 (mod 4) has only the preimages p^(k+1) and 2 p^(k+1), with
+    # p^(k+1) = n p / (p - 1) <= 3n/2: the map holds every odd one while
+    # 3n/2 <= 10^5, and some of them above that
+    for n in range(2, 10**5 + 1, 4):
+        odd = [m for m in phi_map_1e5.get(n, []) if m % 2]
+        top = max((factorize(m).factors[0][0] for m in odd), default=0)
+        if 3 * n <= 2 * 10**5:
+            assert _searched(n) == (bool(odd), top), n
+        elif odd:
+            assert is_totient(n) and p_max(n) >= top, n
 
 
 def test_large_fibers_pinned():
