@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from operator import mul
-from typing import Iterable, Iterator, Optional, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arith_core import (
     INPUT_LIMIT,
@@ -104,6 +104,27 @@ def v1_exponent() -> float:
     return 1.0 - math.e * math.log(2.0) / 2.0
 
 
+def _bisect(
+    f: Callable[[float], float], lo: float, hi: float, tolerance: float, residual: float = math.inf
+) -> tuple[float, int]:
+    """(midpoint, steps) of bisecting [lo, hi], where f(lo) > 0 >= f(hi).
+
+    Halves until the bracket is within ``tolerance`` and |f| at its
+    midpoint is at most ``residual``, or 201 steps have run.
+    """
+    iterations = 0
+    while hi - lo > tolerance or abs(f((lo + hi) / 2.0)) > residual:
+        mid = (lo + hi) / 2.0
+        if f(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+        if iterations > 200:
+            break
+    return (lo + hi) / 2.0, iterations
+
+
 def solve_balance_A(tolerance: float = 1e-12) -> ExponentSolution:
     """Bisect v2_exponent - v3_exponent on (1/2, 1) down to ``tolerance``.
 
@@ -114,20 +135,9 @@ def solve_balance_A(tolerance: float = 1e-12) -> ExponentSolution:
     if tolerance < 1e-14:
         raise ValueError("tolerance must be at least 1e-14")
     gap = lambda A: v2_exponent(A) - v3_exponent(A)
-    lo, hi = 0.5, 1.0
-    if not gap(lo) > 0.0 > gap(hi):
+    if not gap(0.5) > 0.0 > gap(1.0):
         raise ArithmeticError("no sign change on (1/2, 1)")
-    iterations = 0
-    while hi - lo > tolerance or abs(gap((lo + hi) / 2.0)) > _RESIDUAL_CEILING:
-        mid = (lo + hi) / 2.0
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-        if iterations > 200:
-            break
-    a_star = (lo + hi) / 2.0
+    a_star, iterations = _bisect(gap, 0.5, 1.0, tolerance, _RESIDUAL_CEILING)
     return ExponentSolution(
         a_star=a_star,
         common_exponent=v2_exponent(a_star),
@@ -147,17 +157,10 @@ def crossover_eps(tolerance: float = 1e-12) -> float:
     """The eps in (0.1, 3) where the crossover inequality turns false."""
     if tolerance < 1e-12:
         raise ValueError("tolerance must be at least 1e-12")
-    diff = lambda eps: excess_factor_exponent(eps / 2.0) - eps * math.log(2.0) / 4.0
-    lo, hi = 0.1, 3.0
-    if not diff(lo) < 0.0 < diff(hi):
+    gap = lambda eps: eps * math.log(2.0) / 4.0 - excess_factor_exponent(eps / 2.0)
+    if not gap(0.1) > 0.0 > gap(3.0):
         raise ArithmeticError("no sign change on (0.1, 3)")
-    while hi - lo > tolerance:
-        mid = (lo + hi) / 2.0
-        if diff(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2.0
+    return _bisect(gap, 0.1, 3.0, tolerance)[0]
 
 
 def _check_product_args(d: int, y: float, exact: bool) -> None:

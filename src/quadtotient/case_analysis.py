@@ -210,7 +210,6 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
     """How many n <= x have poly(n) divisible by a square above bound."""
     if x < 1 or bound < 1:
         raise ValueError("square_divisor_count requires x >= 1 and bound >= 1")
-    _largest_value(poly, x)
     return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
 
 
@@ -220,7 +219,6 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
         raise ValueError("ew_density_probe requires x >= 1")
     if math.isnan(t_cut):
         raise ValueError("T must be a number, got NaN")
-    _largest_value(poly, x)
     count = 0
     for factorization in factor_values(poly, x):
         # an odd d > 1 makes d + 1 even, so only d = 1 and even d are tested

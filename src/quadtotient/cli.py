@@ -5,8 +5,9 @@ Output is a single JSON value or a CSV table on stdout (or --out PATH),
 byte-identical across reruns with the same arguments.  A config file of
 key=value lines may supply defaults; explicit flags win.
 
-Exit codes: 0 success, 2 invalid arguments or polynomial, 3 computation
-errors (range overflow, nontotient input, and the like).
+Exit codes: 0 success, 2 invalid arguments or polynomial (an unreadable
+config file or an unwritable --out path included), 3 computation errors
+(range overflow, nontotient input, and the like).
 """
 
 from __future__ import annotations
@@ -150,8 +151,8 @@ def _read_config(path: str) -> list[str]:
                     fragments.append(flag)
                 elif value.lower() not in ("0", "false", "no", "off"):
                     raise ValueError(f"config key {key!r} expects a boolean, got {value!r}")
-            else:
-                fragments.extend((flag, value))
+            else:  # one fragment, so that a value such as -1,0,-1 is not read as a flag
+                fragments.append(f"{flag}={value}")
     return fragments
 
 
@@ -225,7 +226,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ValueError, OverflowError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
+    try:
+        _emit(text, args.out)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -271,11 +271,11 @@ def factor_values(
     """The factorizations of poly(n) for n = start, start + step, ... <= x, in order.
 
     Every poly(1), ..., poly(x) must be positive; that and the 2^63 value
-    range are checked before anything is yielded.  Equal to factorize on
-    each value, by the root sieve described in the module docstring: on
-    the progression, a prime p not dividing ``step`` divides the terms
-    whose n is a root of poly mod p, and one dividing ``step`` divides
-    every term or none.
+    range are checked on the call, before the generator is returned.
+    Equal to factorize on each value, by the root sieve described in the
+    module docstring: on the progression, a prime p not dividing ``step``
+    divides the terms whose n is a root of poly mod p, and one dividing
+    ``step`` divides every term or none.
     """
     if start < 1 or step < 1:
         raise ValueError("factor_values requires start >= 1 and step >= 1")

@@ -74,12 +74,10 @@ class PreimageSet:
 class _FiberSearch:
     """The memoized divisor search over the fiber of one even n > 1."""
 
-    def __init__(self, n: int, factorization: Factorization) -> None:
-        self.n = n
+    def __init__(self, factorization: Factorization) -> None:
+        self.n = factorization.value
         self._divisors = factorization.divisors()
         self._prime_after: dict[int, bool] = {}  # d -> d + 1 is an odd prime
-        # every d | n with d + 1 an odd prime, ascending, once listed() has run
-        self._listed: Optional[list[int]] = None
         self._least_top: dict[int, float] = {
             d: 0 for d in self._divisors if d & (d - 1) == 0
         }
@@ -107,10 +105,10 @@ class _FiberSearch:
         return self._is_prime_after(d)
 
     def listed(self) -> list[int]:
-        """Every d | n with d + 1 an odd prime, ascending."""
-        if self._listed is None:
-            self._listed = [d for d in self._divisors if self._is_prime_after(d)]
-        return self._listed
+        """Every d | n with d + 1 an odd prime, ascending; the walks take it in
+        place of the divisors from here on, since no other d is admitted."""
+        self._divisors = [d for d in self._divisors if self._is_prime_after(d)]
+        return self._divisors
 
     def least_top(self, r: int) -> float:
         """The least largest odd prime of an m with phi(m) = r, for r | n."""
@@ -118,9 +116,7 @@ class _FiberSearch:
         if least is None:
             least = math.inf
             if r % 2 == 0:  # an odd r > 1 has no preimage
-                # the listed primes when inverse_totient has screened them all,
-                # else every divisor, pruned before it is tested
-                for d in self._listed or self._divisors:
+                for d in self._divisors:
                     if d > r:
                         break
                     if r % d == 0 and self._admits(r, d) and any(self.closings(r, d + 1)):
@@ -166,19 +162,17 @@ def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = Non
         return 2
     if n % 2 == 1:
         return 0
+    # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
+    if n % 4 == 2 and is_prime(n + 1):
+        return n + 1
+    if factorization is None:
+        factorization = factorize(n)
     if n % 4 == 2:
-        # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
-        if is_prime(n + 1):
-            return n + 1
-        if factorization is None:
-            factorization = factorize(n)
         for q, e in reversed(factorization.factors):
             if (q - 1) * q ** e == n:
                 return q
         return 0
-    if factorization is None:
-        factorization = factorize(n)
-    return _FiberSearch(n, factorization).largest_prime()
+    return _FiberSearch(factorization).largest_prime()
 
 
 def inverse_totient(n: int) -> PreimageSet:
@@ -189,7 +183,7 @@ def inverse_totient(n: int) -> PreimageSet:
     if n % 2 == 1:
         return PreimageSet(n, (), 0)
 
-    search = _FiberSearch(n, factorize(n))
+    search = _FiberSearch(factorize(n))
     listed = search.listed()
     found: list[int] = []
 
@@ -229,16 +223,17 @@ def p_max(n: int) -> int:
     return top
 
 
-def totients_up_to(x: int, return_bitmap: bool = False):
-    """V(x): the number of distinct totient values <= x.
-
-    With ``return_bitmap`` the per-value membership bitmap (index 0
-    unused) is returned alongside the count.
-    """
+def totients_up_to(x: int) -> int:
+    """V(x): the number of distinct totient values <= x."""
     if x < 1:
         raise ValueError("totients_up_to expects a positive integer")
     if x > SIEVE_INPUT_LIMIT:
         raise ValueError("totients_up_to supports x <= 10^7")
+    return sum(_totient_bitmap(x))
+
+
+def _totient_bitmap(x: int) -> bytearray:
+    """The membership bitmap of the totient values <= x; index 0 is unused."""
     bitmap = bytearray(x + 1)
     odd_primes = primes_up_to(x + 1)[1:]
 
@@ -259,7 +254,4 @@ def totients_up_to(x: int, return_bitmap: bool = False):
                 contrib *= p
 
     mark(0, 1)
-    count = sum(bitmap)
-    if return_bitmap:
-        return count, bitmap
-    return count
+    return bitmap

@@ -107,6 +107,41 @@ def test_solve_balance_residual_holds_at_loose_tolerance():
     assert sol.residual <= 1e-12
 
 
+# exact (tolerance, a_star, iterations) and (tolerance, crossover_eps) values:
+# a change to the bisection must keep them bit for bit
+BALANCE_PINS = [
+    (1e-14, 0.7604495742202708, 46),
+    (1e-13, 0.760449574220246, 43),
+    (1e-12, 0.7604495742202744, 39),
+    (1e-10, 0.7604495742198196, 35),
+    (1e-08, 0.7604495742198196, 35),
+    (1e-06, 0.7604495742198196, 35),
+    (1e-04, 0.7604495742198196, 35),
+    (1e-03, 0.7604495742198196, 35),
+]
+CROSSOVER_PINS = [
+    (1e-12, 1.7472354177365221),
+    (1e-10, 1.747235417699267),
+    (1e-08, 1.7472354159690444),
+    (1e-06, 1.747235143184662),
+    (1e-04, 1.7472244262695313),
+    (1e-02, 1.7454101562500002),
+    (0.1, 1.7765625000000003),
+    (0.5, 1.7312500000000002),
+]
+
+
+@pytest.mark.parametrize("tolerance, a_star, iterations", BALANCE_PINS)
+def test_solve_balance_pinned(tolerance, a_star, iterations):
+    sol = solve_balance_A(tolerance)
+    assert (sol.a_star, sol.iterations) == (a_star, iterations)
+
+
+@pytest.mark.parametrize("tolerance, eps", CROSSOVER_PINS)
+def test_crossover_eps_pinned(tolerance, eps):
+    assert crossover_eps(tolerance) == eps
+
+
 def test_crossover_eps():
     eps = crossover_eps(1e-12)
     assert 1.74 < eps < 1.75

@@ -196,7 +196,7 @@ def test_survey_checks_vertex_before_sweep(monkeypatch):
 def test_sweeps_check_vertex_before_factoring(monkeypatch, sweep):
     calls = []
     monkeypatch.setattr(case_analysis, "factorize", calls.append)
-    monkeypatch.setattr(case_analysis, "factor_values", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad_poly, "_root_sieve", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match="n=50 is -500"):
         sweep()
     assert not calls

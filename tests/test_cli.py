@@ -248,6 +248,23 @@ def test_config_file_defaults_and_override(tmp_path, capsys):
     assert data["x"] == 1 and data["V_P"] == 1
 
 
+def test_config_negative_coefficients(tmp_path, capsys):
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("poly=-1,0,-1\nk=10\n")
+    code, out, err = run_cli(["--config", str(cfg), "rho", "--k", "65"], capsys)
+    assert (code, out, err) == (0, "4\n", "")
+    # the explicit flag still wins over the config's poly
+    code, out, _ = run_cli(["--config", str(cfg), "rho", "--poly", "1,0,2", "--k", "65"], capsys)
+    assert (code, out) == (0, "0\n")
+
+
+def test_unwritable_out_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run_cli(["bounds", "--out", str(target)], capsys)
+    assert code == 2 and not out and err.startswith("error: ")
+    assert not target.exists()
+
+
 def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("polynomial=1,0,1\n")

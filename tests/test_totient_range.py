@@ -2,7 +2,7 @@ import functools
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadtotient import (
@@ -15,6 +15,7 @@ from quadtotient import (
     p_max,
     totients_up_to,
 )
+from quadtotient.totient_range import _FiberSearch, _totient_bitmap
 
 
 def test_fiber_examples():
@@ -108,7 +109,7 @@ def test_totients_up_to_examples(phi_map_1e5):
 def test_totients_up_to_bitmap(phi_map_1e5):
     # the map holds every preimage of v <= 10^4: test_preimage_growth_bound
     # caps them below 8.9 * 10^4
-    count, bitmap = totients_up_to(10**4, return_bitmap=True)
+    count, bitmap = totients_up_to(10**4), _totient_bitmap(10**4)
     assert count == sum(bitmap)
     for v in range(1, 10**4 + 1):
         assert bitmap[v] == (1 if v in phi_map_1e5 else 0), v
@@ -134,7 +135,7 @@ def _totient_flags(limit: int) -> bytes:
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=3000))
 def test_totients_up_to_matches_is_totient(x):
-    count, bitmap = totients_up_to(x, return_bitmap=True)
+    count, bitmap = totients_up_to(x), _totient_bitmap(x)
     assert bytes(bitmap) == _totient_flags(3000)[: x + 1]
     assert count == sum(bitmap)
 
@@ -223,6 +224,18 @@ _EVEN_UP_TO_2_50 = st.one_of(
 @given(_EVEN_UP_TO_2_50)
 def test_pruned_search_matches_unpruned_search(n):
     assert _searched(n) == _unpruned_search(n)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(min_value=1, max_value=5 * 10**5).map(lambda k: 4 * k))
+@example(41902660800)
+def test_listing_changes_no_answer(n):
+    # listed() narrows the search's walks to the d with d + 1 prime
+    fresh, narrowed = _FiberSearch(factorize(n)), _FiberSearch(factorize(n))
+    narrowed.listed()
+    divisors = factorize(n).divisors()
+    assert [narrowed.least_top(r) for r in divisors] == [fresh.least_top(r) for r in divisors]
+    assert narrowed.largest_prime() == fresh.largest_prime()
 
 
 def test_one_factor_two_matches_sweep(phi_map_1e5):
