@@ -50,9 +50,12 @@ class CaseRecord:
     omega_T_pm1: Optional[int]
     case: Case
 
+    def row(self) -> tuple:
+        """The columns of ``CSV_HEADER``, in order."""
+        return (self.n, self.value, self.case.value, self.p_max, self.v, self.omega_T_pm1)
+
     def csv_row(self) -> str:
-        tail = ("" if f is None else str(f) for f in (self.p_max, self.v, self.omega_T_pm1))
-        return f"{self.n},{self.value},{self.case.value}," + ",".join(tail)
+        return ",".join("" if f is None else str(f) for f in self.row())
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .bound_lab import bounds_summary, split_and_twisted
-from .case_analysis import ew_density_probe, square_divisor_count, survey, threshold_T
+from .case_analysis import CSV_HEADER, ew_density_probe, square_divisor_count, survey, threshold_T
 from .quad_poly import QuadPoly, rho
 from .totient_range import inverse_totient
 
@@ -68,16 +68,22 @@ def _t_arg(text: str):
     return _finite_float(text)
 
 
+def _config_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="quadtotient", add_help=False)
+    parser.add_argument(
+        "--config",
+        metavar="PATH",
+        help="key=value lines supplying defaults for the subcommand flags",
+    )
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadtotient",
         description="Totient values of integer quadratics: surveys, root counts, "
         "inverse totients, prime products, and solved exponent constants.",
-    )
-    parser.add_argument(
-        "--config",
-        metavar="PATH",
-        help="key=value lines supplying defaults for the subcommand flags",
+        parents=[_config_parser()],
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config(path: str) -> list[str]:
-    """Translate key=value lines into argv fragments (inserted before flags)."""
+    """Translate key=value lines into argv fragments (inserted after the subcommand)."""
     fragments: list[str] = []
     with open(path, encoding="utf-8") as handle:
         for raw in handle:
@@ -188,27 +194,16 @@ def _fraction_dict(frac: Fraction, count: int, total: int) -> dict:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # Peel --config first so its values become overridable defaults.
-    if "--config" in argv:
-        at = argv.index("--config")
-        if at + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        path = argv[at + 1]
-        del argv[at : at + 2]
+    # Read --config first, wherever it stands, and put its values right after
+    # the subcommand, so that the flags the user typed after them win.
+    config, argv = _config_parser().parse_known_args(argv)
+    if config.config is not None:
         try:
-            fragments = _read_config(path)
+            argv[1:1] = _read_config(config.config)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        if not argv:
-            print("error: missing subcommand", file=sys.stderr)
-            return 2
-        argv = [argv[0]] + fragments + argv[1:]
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     if args.command == "survey" and args.poly.a < 0:
         print(f"error: survey needs a > 0, got {args.poly.to_text()}", file=sys.stderr)
@@ -243,17 +238,8 @@ def _render(args: argparse.Namespace) -> str:
             return report.to_csv()
         summary = report.summary_dict()
         if args.records:
-            summary["records"] = [
-                {
-                    "n": rec.n,
-                    "value": rec.value,
-                    "case": rec.case.value,
-                    "p_max": rec.p_max,
-                    "v": rec.v,
-                    "omega_T_pm1": rec.omega_T_pm1,
-                }
-                for rec in report.records
-            ]
+            keys = CSV_HEADER.split(",")
+            summary["records"] = [dict(zip(keys, rec.row())) for rec in report.records]
         return _json_line(summary, indent=2)
 
     if args.command == "rho":

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import subprocess
@@ -5,7 +6,7 @@ import sys
 
 import pytest
 
-from quadtotient.cli import main, run
+from quadtotient.cli import _CONFIG_KEYS, _read_config, build_parser, main, run
 
 SURVEY_CSV = """n,value,case,p_max,v,omega_T_pm1
 1,2,SmallP,3,1,1
@@ -212,12 +213,15 @@ def test_large_fiber_output_pinned(capsys, args, digest):
          "d8aca8195aa4bd894b9f3ac498911c23681db88ab5107c7eba4679afcb875224"),
         (["survey", "--poly=3,0,4", "--x", "5000", "--format", "csv"],
          "d18b7fbe71c9a59d6664f31e97aeaea001f83674ad778ae25fd71b3435690cd3"),
+        (["survey", "--poly=1,0,1", "--x", "3000", "--T", "50", "--records"],
+         "58d9d582f62361c22bd7d51fabd22d872dfc747d2a909b938f617ee99e8c160f"),
     ],
 )
 def test_sweep_output_pinned(capsys, args, digest):
     # digests of the output from before the root sieve, when every value was
-    # trial-divided, and (the last two) from before the 2-adic prune, when
-    # every even divisor d got a primality test of d + 1
+    # trial-divided, (the fourth and fifth) from before the 2-adic prune, when
+    # every even divisor d got a primality test of d + 1, and (the last) from
+    # before the JSON records were built from CaseRecord.row
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -270,6 +274,66 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg.write_text("polynomial=1,0,1\n")
     code, _, err = run_cli(["--config", str(cfg), "survey", "--x", "10"], capsys)
     assert code == 2 and "unknown config key" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--config={neg}", "rho", "--k", "65"],
+        ["--conf", "{neg}", "rho", "--k", "65"],
+        ["--config", "{rho}", "--config", "{neg}", "rho", "--k", "65"],
+        ["rho", "--k", "65", "--config", "{neg}"],
+    ],
+)
+def test_config_forms(tmp_path, capsys, args):
+    # argparse reads --config in every form it reads any other flag; the last
+    # one given wins, wherever it stands
+    neg, rho_cfg = tmp_path / "neg.cfg", tmp_path / "rho.cfg"
+    neg.write_text("poly=-1,0,-1\n")
+    rho_cfg.write_text("poly=1,0,2\n")
+    args = [arg.format(neg=neg, rho=rho_cfg) for arg in args]
+    assert run_cli(args, capsys) == (0, "4\n", "")
+
+
+@pytest.mark.parametrize(
+    "args", [["--config"], ["rho", "--k", "65", "--config"], ["--config", "{cfg}"]]
+)
+def test_config_without_path_or_subcommand_exit_2(tmp_path, capsys, args):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("poly=1,0,1\n")
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(cfg=cfg) for arg in args])
+    assert exc.value.code == 2
+    assert not capsys.readouterr().out
+
+
+def test_config_from_sys_argv(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("poly=1,0,1\n")
+    monkeypatch.setattr(sys, "argv", ["quadtotient", f"--config={cfg}", "rho", "--k", "65"])
+    assert run_cli(None, capsys) == (0, "4\n", "")
+
+
+def test_config_keys_match_subcommand_flags(tmp_path):
+    # _CONFIG_KEYS is the one list of flag names outside build_parser: every key
+    # must name a long flag of some subcommand, and every such flag a key
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key}=1\n" for key in sorted(_CONFIG_KEYS)))
+    from_keys = {fragment.partition("=")[0] for fragment in _read_config(str(cfg))}
+    assert len(from_keys) == len(_CONFIG_KEYS)
+    (subcommands,) = (
+        action.choices.values()
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    flags = {
+        option
+        for subparser in subcommands
+        for action in subparser._actions
+        for option in action.option_strings
+        if option.startswith("--")
+    }
+    assert from_keys == flags - {"--help"}
 
 
 def test_nontotient_error_exit_3(capsys):
