@@ -52,6 +52,18 @@ def test_survey_csv(capsys):
     assert out == SURVEY_CSV
 
 
+def test_survey_value_one_is_smallp(capsys):
+    # P(1) = 1 is odd but a totient (phi(1) = phi(2) = 1): SmallP with p_max 2
+    args = ["survey", "--poly=1,-2,2", "--x", "6", "--T", "50"]
+    code, out, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    assert out.splitlines()[1] == "1,1,SmallP,2,1,0"
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert (data["V_P"], data["smallp"], data["nontotient"]) == (3, 3, 3)
+
+
 def test_survey_json_records(capsys):
     code, out, _ = run_cli(
         ["survey", "--poly", "1,0,1", "--x", "10", "--T", "5", "--A", "0.76",

@@ -270,7 +270,8 @@ def test_factor_values_reducible(u, v, w, z, x, start, step):
     st.integers(min_value=1, max_value=200),
 )
 def test_factor_values_large(a, b, c, x):
-    # values up to about 2^46, with B <= 200: cofactors go to Miller-Rabin and Brent
+    # values up to about 2^46, with B <= 16 x <= 3200: cofactors go to
+    # Miller-Rabin and Brent
     _sieve_matches_factorize(QuadPoly(a, b, c), x, 1, 1)
 
 
@@ -280,6 +281,35 @@ def test_factor_values_across_segments(coeffs, start, step):
     poly, x = QuadPoly(*coeffs), 3 * quad_poly._SEGMENT + 7
     expect = [factorize(poly(n)) for n in range(start, x + 1, step)]
     assert list(factor_values(poly, x, start, step)) == expect
+
+
+@pytest.mark.parametrize("content", [65537, 2**31 - 1])
+@pytest.mark.parametrize("start, step", [(1, 1), (2, 2), (3, 5)])
+def test_factor_values_content_prime_above_bound(content, start, step):
+    poly, x = QuadPoly(content, 0, content), 500
+    assert quad_poly._sieve_bound(poly, x) < content
+    expect = [factorize(poly(n)) for n in range(start, x + 1, step)]
+    assert list(factor_values(poly, x, start, step)) == expect
+
+
+@pytest.mark.parametrize(
+    "coeffs, x, bound",
+    [((2097151, 1, 2), 3000, 48000), ((5040, 0, 5040), 300, 300), ((1, 0, 1), 10**4, 10**4)],
+)
+def test_sieve_bound(coeffs, x, bound):
+    assert quad_poly._sieve_bound(QuadPoly(*coeffs), x) == bound
+
+
+def test_sieve_bound_never_below_old_bound():
+    # the sieve reached min(isqrt(max P), x) before it went past x
+    for coeffs in BATTERY + [(2097151, 1, 2), (5040, 0, 5040), (2**31, 0, 2**31)]:
+        poly = QuadPoly(*coeffs)
+        for x in (1, 2, 7, 100, 3000):
+            try:
+                top = quad_poly._largest_value(poly, x)
+            except ValueError:  # some value on [1, x] is below 1
+                continue
+            assert quad_poly._sieve_bound(poly, x) >= min(math.isqrt(top), x)
 
 
 def test_factor_values_reaches_brent(monkeypatch):
