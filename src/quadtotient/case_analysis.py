@@ -107,6 +107,16 @@ def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
     return math.exp(((1.0 - delta) / a_param) * (math.log(x) / math.log(math.log(x))))
 
 
+def _check_case_split(poly: QuadPoly, t_cut: float, a_param: float) -> None:
+    """The rules of the case split itself: a > 0, T > e and a number A."""
+    if poly.a < 0:  # the Case1 test p > 4ax is vacuous unless a > 0
+        raise ValueError(f"the case split needs a > 0, got a = {poly.a}")
+    if not t_cut > _MIN_T:  # NaN fails here too
+        raise ValueError("T must exceed e so that loglog T is positive")
+    if math.isnan(a_param):
+        raise ValueError("A must be a number, got NaN")
+
+
 def classify(
     poly: QuadPoly,
     n: int,
@@ -123,12 +133,7 @@ def classify(
     """
     if not 1 <= n <= x:
         raise ValueError("classify requires 1 <= n <= x")
-    if poly.a < 0:  # the Case1 test p > 4ax is vacuous unless a > 0
-        raise ValueError(f"the case split needs a > 0, got a = {poly.a}")
-    if not t_cut > _MIN_T:  # NaN fails here too
-        raise ValueError("T must exceed e so that loglog T is positive")
-    if math.isnan(a_param):
-        raise ValueError("A must be a number, got NaN")
+    _check_case_split(poly, t_cut, a_param)
     value = poly(n)
     if value < 1:
         raise ValueError(f"polynomial value at n={n} is {value}; must be positive")
@@ -172,11 +177,12 @@ def survey(
 ) -> CaseReport:
     """Classify every n in [1, x] and tally the cases.
 
-    The n with an even value are factored by the root sieve and their
-    factorizations handed to ``classify``.
+    The n with an even value are factored by the root sieve, after every
+    argument check, and their factorizations handed to ``classify``.
     """
     if x < 1:
         raise ValueError("survey requires x >= 1")
+    _check_case_split(poly, t_cut, a_param)
     if _largest_value(poly, x) > PREIMAGE_INPUT_LIMIT:
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}

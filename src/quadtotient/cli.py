@@ -16,11 +16,12 @@ import argparse
 import json
 import math
 import sys
-from fractions import Fraction
 from typing import Optional
 
 from .bound_lab import bounds_summary, split_and_twisted
-from .case_analysis import CSV_HEADER, ew_density_probe, square_divisor_count, survey, threshold_T
+from .case_analysis import (
+    CSV_HEADER, _check_case_split, ew_density_probe, square_divisor_count, survey, threshold_T
+)
 from .quad_poly import QuadPoly, rho
 from .totient_range import inverse_totient
 
@@ -184,15 +185,6 @@ def _json_line(value, indent: Optional[int] = None) -> str:
     return json.dumps(value, indent=indent) + "\n"
 
 
-def _fraction_dict(frac: Fraction, count: int, total: int) -> dict:
-    return {
-        "count": count,
-        "total": total,
-        "density": f"{frac.numerator}/{frac.denominator}",
-        "value": frac.numerator / frac.denominator,
-    }
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     # Read --config first, wherever it stands, and put its values right after
     # the subcommand, so that the flags the user typed after them win.
@@ -201,39 +193,45 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:
             argv[1:1] = _read_config(config.config)
         except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _fail(exc, 2)
     args = build_parser().parse_args(argv)
 
-    if args.command == "survey" and args.poly.a < 0:
-        print(f"error: survey needs a > 0, got {args.poly.to_text()}", file=sys.stderr)
-        return 2
-    if args.command == "survey" and not args.allow_reducible and not args.poly.is_irreducible():
-        print(
-            f"error: {args.poly.to_text()} is reducible (square discriminant "
-            f"{args.poly.discriminant()}); pass --allow-reducible to proceed",
-            file=sys.stderr,
-        )
-        return 2
+    if args.command == "survey":
+        # the case split's rules are argument checks: fail them before any work
+        try:
+            args.T = _resolve_t(args)
+            _check_case_split(args.poly, args.T, args.A)
+        except ValueError as exc:
+            return _fail(exc, 2)
+        except OverflowError as exc:  # threshold_T of an astronomical x
+            return _fail(exc, 3)
+        if not args.allow_reducible and not args.poly.is_irreducible():
+            return _fail(
+                f"{args.poly.to_text()} is reducible (square discriminant "
+                f"{args.poly.discriminant()}); pass --allow-reducible to proceed",
+                2,
+            )
 
     try:
         text = _render(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(exc, 3)
     try:
         _emit(text, args.out)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _fail(exc, 2)
     return 0
 
 
+def _fail(error: object, code: int) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return code
+
+
 def _render(args: argparse.Namespace) -> str:
-    if args.command == "survey":
-        t_cut = _resolve_t(args)
+    if args.command == "survey":  # main has resolved args.T
         keep = args.records or args.format == "csv"
-        report = survey(args.poly, args.x, t_cut, args.A, keep_records=keep)
+        report = survey(args.poly, args.x, args.T, args.A, keep_records=keep)
         if args.format == "csv":
             return report.to_csv()
         summary = report.summary_dict()
@@ -259,9 +257,13 @@ def _render(args: argparse.Namespace) -> str:
 
     if args.command == "probe":
         frac = ew_density_probe(args.poly, args.T, args.x)
-        return _json_line(
-            _fraction_dict(frac, int(frac * args.x), args.x), indent=2
-        )
+        density = {
+            "count": int(frac * args.x),
+            "total": args.x,
+            "density": f"{frac.numerator}/{frac.denominator}",
+            "value": frac.numerator / frac.denominator,
+        }
+        return _json_line(density, indent=2)
 
     if args.command == "squares":
         return _json_line(square_divisor_count(args.poly, args.x, args.bound))

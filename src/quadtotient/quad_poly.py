@@ -4,11 +4,11 @@ A quadratic a*x^2 + b*x + c is held exactly; the module counts and lists
 its roots modulo prime powers and general moduli, and builds the reduced
 quadratic obtained by following an arithmetic progression through a root.
 
-Root counts modulo a prime p not dividing 2*a*D come straight from the
-Kronecker symbol of the discriminant D (0 or 2 roots, constant across
-prime powers).  Singular primes -- p | 2aD, or p dividing all three
-coefficients -- are handled by exact lifting: content extraction first,
-then level-by-level Hensel steps with a brute split at singular roots.
+Roots and root counts modulo a prime power p^r come from exact lifting:
+the content at p is taken out first, then the roots mod p are lifted level
+by level, by a unique Hensel step where the derivative is a unit and a
+brute split at singular roots.  For p not dividing 2*a*D this gives
+1 + (D|p) roots, 0 or 2, at every level.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
@@ -55,7 +55,6 @@ from .arith_core import (
     is_prime,
     is_square,
     iter_primes,
-    kronecker,
 )
 
 COEF_LIMIT = 1 << 31
@@ -199,19 +198,10 @@ def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
 
 
 def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
-    """Number of roots of poly modulo p^r.
-
-    For p not dividing 2*a*D (and no content at p) this is
-    1 + kronecker(D, p) for every r; other primes are counted by exact
-    lifting.
-    """
+    """Number of roots of poly modulo p^r, by exact lifting."""
     sigma, stripped = _strip_content(poly, p, r)
     if sigma:
         return p ** sigma * (rho_prime_power(stripped, p, r - sigma) if sigma < r else 1)
-    if p != 2 and poly.a % p != 0:
-        disc = poly.discriminant()
-        if disc % p != 0:
-            return 1 + kronecker(disc, p)  # 2 if D splits mod p, else 0
     return len(prime_power_roots(poly, p, r))
 
 

@@ -208,6 +208,27 @@ def test_product_guards():
             twisted_exception_scan(limit, y)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: b_exponent(0.7, -1.0), "B must be positive"),
+        (lambda: crossover_inequality_holds(0.0), "eps must be positive"),
+        (lambda: crossover_inequality_holds(-1.0), "eps must be positive"),
+        (lambda: solve_balance_A(1e-15), "at least 1e-14"),
+        (lambda: crossover_eps(1e-13), "at least 1e-12"),
+        (lambda: split_and_twisted(-(2**63) - 1, 20), "2\\^63"),
+        (lambda: split_and_twisted(5, 10**8 + 1), "10\\^8"),
+        (lambda: twisted_exception_scan(1, 20), "limit must lie in"),
+        (lambda: twisted_exception_scan(10**5 + 1, 3), "limit must lie in"),
+    ],
+    ids=["B<0", "eps=0", "eps<0", "balance tolerance", "crossover tolerance", "|d|>2^63",
+         "y>10^8", "scan limit<2", "scan limit>10^5"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_split_identity_small():
     # product over split primes == full twisted-by-(1+chi) product divided
     # by the factors at primes dividing d

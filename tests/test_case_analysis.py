@@ -202,6 +202,41 @@ def test_sweeps_check_vertex_before_factoring(monkeypatch, sweep):
     assert not calls
 
 
+@pytest.mark.parametrize(
+    "poly, t_cut, a_param, message",
+    [
+        (P, 2.0, 0.76, "T must exceed e"),
+        (P, 50.0, math.nan, "A must be a number"),
+        (QuadPoly(-1, 0, 10**6), 50.0, 0.76, "a > 0"),
+    ],
+    ids=["T<=e", "A NaN", "a<0"],
+)
+def test_survey_checks_case_split_before_sieving(monkeypatch, poly, t_cut, a_param, message):
+    # the rules of the case split are checked before the largest value or
+    # the root sieve is computed, so a bad argument costs nothing at any x
+    calls = []
+    monkeypatch.setattr(case_analysis, "_largest_value", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad_poly, "_root_sieve", lambda *args: calls.append(args))
+    with pytest.raises(ValueError, match=message):
+        survey(poly, 10**6, t_cut, a_param)
+    assert not calls
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: survey(P, 0, 16.0, 0.76), "survey requires x >= 1"),
+        (lambda: square_divisor_count(P, 0, 4), "x >= 1 and bound >= 1"),
+        (lambda: square_divisor_count(P, 10, 0), "x >= 1 and bound >= 1"),
+        (lambda: ew_density_probe(P, 5.0, 0), "ew_density_probe requires x >= 1"),
+    ],
+    ids=["survey x<1", "squares x<1", "squares bound<1", "probe x<1"],
+)
+def test_sweep_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_csv_serialization():
     report = survey(P, 10, 5.0, 0.76, keep_records=True)
     text = report.to_csv()

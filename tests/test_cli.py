@@ -105,12 +105,56 @@ def test_survey_overflow_exit_3(capsys):
     assert code == 3 and "2^63" in err
     code, _, err = run_cli(["survey", "--poly", "1073741824,0,2", "--x", "2000"], capsys)
     assert code == 3 and "2^50" in err
+    # --T auto at an x of 4001 digits: threshold_T itself overflows
+    code, out, err = run_cli(["survey", "--poly", "1,0,1", "--x", "1" + "0" * 4000], capsys)
+    assert code == 3 and not out and "range" in err
 
 
 def test_survey_negative_leading_exit_2(capsys):
     code, out, err = run_cli(["survey", "--poly=-1,0,1000000", "--x", "100"], capsys)
     assert code == 2
     assert not out and "a > 0" in err
+
+
+def test_survey_fixed_t_takes_any_a(capsys):
+    # (1/2, 1) bounds A only as an argument of threshold_T, under --T auto
+    args = ["survey", "--poly", "1,0,1", "--x", "100", "--T", "50", "--A", "2"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and not err and json.loads(out)["A"] == 2.0
+
+
+@pytest.mark.parametrize(
+    "config, args, message",
+    [
+        (None, ["survey", "--poly", "1,0,1", "--x", "100", "--T", "2"], "T must exceed e"),
+        (
+            None,
+            ["survey", "--poly", "1,0,1", "--x", "100", "--T", "auto", "--A", "2"],
+            "A must lie in (1/2, 1)",
+        ),
+        (
+            None,
+            ["survey", "--poly", "1,0,1", "--x", "100", "--T", "auto", "--delta", "5"],
+            "delta must lie in [0, 1]",
+        ),
+        (None, ["survey", "--poly", "1,0,1", "--x", "0"], "must be a positive integer"),
+        (None, ["invphi", "0"], "must be a positive integer"),
+        ("poly 1,0,1\n", ["rho", "--k", "65"], "config line is not key=value"),
+        ("records=maybe\n", ["survey", "--poly", "1,0,1", "--x", "10"], "expects a boolean"),
+    ],
+    ids=["T<=e", "auto A", "auto delta", "x=0", "invphi 0", "config no =", "config bool"],
+)
+def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = [f"--config={cfg}", *args]
+    try:
+        code = main(args)
+    except SystemExit as exc:  # argparse's own rejections
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out and message in captured.err
 
 
 def test_invalid_polynomial_exit_2(capsys):
@@ -357,6 +401,7 @@ def test_nontotient_error_exit_3(capsys):
     assert code == 3 and "positive" in err
     for args in (
         ["survey", "--poly=1,-100,2000", "--x", "100"],
+        ["survey", "--poly=1,-100,2000", "--x", "100", "--T", "50", "--A", "2"],
         ["probe", "--poly=1,-100,2000", "--T", "5", "--x", "100"],
         ["squares", "--poly=1,-100,2000", "--x", "100", "--bound", "4"],
     ):

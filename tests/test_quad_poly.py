@@ -136,8 +136,8 @@ def test_rho_examples():
 
 
 def test_hensel_stability():
-    # p not dividing 2aD: the count mod p^r never moves, and the fast path
-    # agrees with explicit lifting
+    # p not dividing 2aD: the count mod p^r never moves, and rho_prime_power
+    # agrees with the length of the lifted root list
     for coeffs in [(1, 0, 1), (1, 1, -1), (3, 2, 5), (1, 1, 41)]:
         poly = QuadPoly(*coeffs)
         disc = poly.discriminant()
@@ -194,6 +194,26 @@ def test_reduce_at_root_examples():
     assert r53.discriminant() == -24 == poly.discriminant() - 4 * poly.a * 5
     with pytest.raises(ValueError):
         reduce_at_root(poly, 5, 1)  # 5 does not divide P(1) = 2
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: prime_power_roots(QuadPoly(1, 0, 1), 5, 0), "exponent must be positive"),
+        (lambda: prime_power_roots(QuadPoly(1, 0, 1), 15, 1), "must be prime"),
+        (lambda: prime_power_roots(QuadPoly(1, 0, 1), 2, 64), "2\\^63"),
+        # the content 2^31 - 1 makes every residue mod 2^31 - 1 a root
+        (lambda: prime_power_roots(QuadPoly(2**31 - 1, 0, 2**31 - 1), 2**31 - 1, 1), "too large"),
+        (lambda: rho(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
+        (lambda: roots_mod(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
+        (lambda: reduce_at_root(QuadPoly(1, 0, 1), 0, 0), "v must be positive"),
+    ],
+    ids=["r<1", "composite p", "p^r>2^63", "content root set", "rho k<1", "roots_mod v<1",
+         "reduce_at_root v<1"],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_reduce_at_root_progression_identity():

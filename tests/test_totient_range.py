@@ -94,6 +94,12 @@ def test_is_totient():
     assert not is_totient(26)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_is_totient_rejects_nonpositive(n):
+    with pytest.raises(ValueError, match="positive integer"):
+        is_totient(n)
+
+
 def test_is_totient_matches_sweep(phi_map_1e5):
     for n in range(1, 2001):
         assert is_totient(n) == (n in phi_map_1e5), n
