@@ -10,14 +10,18 @@ and only the natural log produces the companion constants e*log(2)/2 and
 
 Products over primes are accumulated in ascending order in float mode for
 reproducibility; an exact Fraction mode (y <= 10^4) calibrates the float
-error.  The characters rest on two facts about the Kronecker symbol: for
-odd q > 0, (d|q) depends only on q mod 4|d|, so when 4|d| <= 2^17 each
-residue class is evaluated once and read from a table after; and (d|q)
-is completely multiplicative in d, so the exception scan builds the
-column of characters of a composite squarefree part as the product of
-two smaller parts' columns.  The scan walks the primes in blocks, and
-keeps one column per part for the current block only.  Root solving is
-bisection with sign-checked brackets, never a derivative method.
+error.  The products' characters rest on a fact about the Kronecker
+symbol: for odd q > 0, (d|q) depends only on q mod 4|d|, so when
+4|d| <= 2^17 each residue class is evaluated once and read from a table
+after.  The exception scan makes no Kronecker call.  A part that is prime
+takes its characters from quadratic reciprocity: (2|q) from q mod 8, and
+(p|q) for an odd p <= y from a table of the squares mod p, made once per
+scan; an odd p > y takes Euler's criterion.  (d|q) is completely
+multiplicative in d, so the column of characters of a composite
+squarefree part is the product of two smaller parts' columns.  The scan
+walks the primes in blocks, and keeps one column per part for the
+current block only.  Root solving is bisection with sign-checked
+brackets, never a derivative method.
 """
 
 from __future__ import annotations
@@ -254,15 +258,40 @@ def split_fraction(disc: int, a_coef: int, y: float) -> Fraction:
     return Fraction(split, total)
 
 
+def _prime_characters(p: int, y: float) -> Callable[[list[int]], array]:
+    """The column maker of p = 1 or a prime: (p|q) for each odd prime q of a block.
+
+    For p = 2 the second supplementary law reads (2|q) from q mod 8.  For
+    an odd p <= y quadratic reciprocity gives (p|q) = (q|p), negated when
+    p = q = 3 (mod 4), and (q|p) is read from a table of the squares mod p,
+    p bytes.  For p > y every q is below p, so a table would cost more than
+    the walk: each q takes Euler's criterion p^((q-1)/2) mod q instead.
+    """
+    if p == 1:
+        return lambda block: array("b", [1]) * len(block)
+    if p == 2:
+        return lambda block: array("b", [(0, 1, 0, -1, 0, -1, 0, 1)[q & 7] for q in block])
+    if p > y:
+        return lambda block: array("b", [(pow(p, q >> 1, q) + 1) % q - 1 for q in block])
+    legendre = array("b", [-1]) * p  # (r|p) at r
+    legendre[0] = 0
+    for i in range(1, p // 2 + 1):
+        legendre[i * i % p] = 1
+    # q & p & 2 is set exactly when p = q = 3 (mod 4)
+    return lambda block: array(
+        "b", [-legendre[q % p] if q & p & 2 else legendre[q % p] for q in block]
+    )
+
+
 def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]:
     """The core (squarefree part) of each d in [2, limit], and the twisted product at each core.
 
     The odd primes <= y are walked in blocks of _BLOCK.  In each block a
-    core that is 1 or prime reads its column of characters from
-    _characters; any other core multiplies the columns of its least prime
-    and of the cofactor, both smaller cores, since (d|q) is completely
-    multiplicative in d.  Each product is carried from block to block
-    through _fold.
+    core that is 1 or prime reads its column of characters from its
+    _prime_characters maker, made once per scan; any other core multiplies
+    the columns of its least prime and of the cofactor, both smaller cores,
+    since (d|q) is completely multiplicative in d.  Each product is carried
+    from block to block through _fold.
     """
     core_of = []
     least: dict[int, int] = {}  # core -> its least prime, or 1 if it has one prime or none
@@ -272,12 +301,13 @@ def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]
         core_of.append(core)
         least.setdefault(core, odd[0] if len(odd) > 1 else 1)
     products = dict.fromkeys(least, 1.0)
+    makers = {core: _prime_characters(core, y) for core, p in least.items() if p == 1}
     odd_primes = islice(iter_primes(int(y)), 1, None)
     while block := list(islice(odd_primes, _BLOCK)):
         columns: dict[int, array] = {}  # core -> its characters at the block, as signed bytes
         for core, p in least.items():  # a core is met first at d = core, after both its factors
             if p == 1:
-                column = array("b", [chi for _, chi in _characters(core, block)])
+                column = makers[core](block)
             else:
                 column = array("b", map(mul, columns[p], columns[core // p]))
             columns[core] = column
@@ -293,10 +323,12 @@ def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
     range.
 
     The scan takes one step per (squarefree part, odd prime <= y), about
-    0.6 * limit * y / log(y) steps, so it accepts limit * y <= 10^8 only:
-    each corner of that range, (10^4, 10^4), (10^3, 10^5), (10^5, 10^3)
-    and (2, 5 * 10^7), took at most 5.5 s on a 2-vCPU VM under Python
-    3.11, at about 0.65 us a step; (10^4, 10^5) is 58 million steps.
+    0.6 * limit * y / log(y) steps, so it accepts limit * y <= 10^8 only.
+    On a 2-vCPU VM under Python 3.11 the corners of that range took
+    1.9-2.5 s at (10^4, 10^4), 3.3-4.9 s at (10^5, 10^3), 1.1-1.7 s at
+    (10^3, 10^5) and 1.3-2.0 s at (2, 5 * 10^7), where listing the primes
+    is most of the work: about 0.2-0.5 us a step, factoring the limit
+    values included.  (10^4, 10^5) would be 58 million steps.
     """
     if not 2 <= limit <= 10 ** 5:
         raise ValueError("limit must lie in [2, 10^5]")

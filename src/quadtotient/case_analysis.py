@@ -104,7 +104,12 @@ def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
         raise ValueError("A must lie in (1/2, 1)")
     if not 0.0 <= delta <= 1.0:
         raise ValueError("delta must lie in [0, 1]")
-    return math.exp(((1.0 - delta) / a_param) * (math.log(x) / math.log(math.log(x))))
+    try:
+        return math.exp(((1.0 - delta) / a_param) * (math.log(x) / math.log(math.log(x))))
+    except OverflowError:
+        raise OverflowError(
+            f"x = 10^{math.log10(x):.1f} is too large: threshold_T overflows the float range"
+        ) from None
 
 
 def _check_case_split(poly: QuadPoly, t_cut: float, a_param: float) -> None:

@@ -63,6 +63,20 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _nonzero_int(text: str) -> int:
+    n = int(text)
+    if n == 0:
+        raise argparse.ArgumentTypeError("must be nonzero")
+    return n
+
+
+def _product_y(text: str) -> float:
+    value = _finite_float(text)
+    if value < 3:
+        raise argparse.ArgumentTypeError("must be at least 3")
+    return value
+
+
 def _t_arg(text: str):
     if text.strip().lower() == "auto":
         return "auto"
@@ -114,8 +128,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--out", default="-")
 
     p_prod = sub.add_parser("products", help="split and twisted prime products")
-    p_prod.add_argument("--d", type=int, required=True)
-    p_prod.add_argument("--y", type=_finite_float, required=True)
+    p_prod.add_argument("--d", type=_nonzero_int, required=True)
+    p_prod.add_argument("--y", type=_product_y, required=True)
     p_prod.add_argument("--out", default="-")
 
     p_probe = sub.add_parser(

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -315,7 +316,9 @@ def test_split_and_twisted_bit_identical_to_per_prime_fold():
 
 def test_twisted_exception_scan_bit_identical_to_per_core_fold():
     # limits past 4 and 9 give core 1; y = 10^4 spans five blocks of odd primes
-    for limit, y in ((2, 10**3), (9, 3), (40, 10**4), (300, 3001), (600, 10**4)):
+    # (2000, 101) and (5000, 997) reach the prime parts above y
+    for limit, y in ((2, 10**3), (9, 3), (40, 10**4), (300, 3001), (600, 10**4),
+                     (2000, 101), (5000, 997)):
         primes = _odd_primes(y)
         cores = [squarefree_part(d) for d in range(2, limit + 1)]
         products = {core: _per_prime_fold(core, primes)[1] for core in cores}
@@ -327,6 +330,32 @@ def test_twisted_exception_scan_bit_identical_to_per_core_fold():
         ]
         expected = (flagged, Fraction(len(flagged), limit - 1))
         assert twisted_exception_scan(limit, y) == expected, (limit, y)
+
+
+def test_prime_characters_match_kronecker():
+    # every branch of the column maker: p = 1, p = 2 by q mod 8, an odd p <= y
+    # by reciprocity and its table of squares, an odd p > y by Euler's
+    # criterion; q = p included
+    odd_primes = _odd_primes(5000)
+    sieve = simple_prime_sieve(2000)
+    for p in [1, *(p for p in range(2, 2001) if sieve[p])]:
+        expected = array("b", [kronecker(p, q) for q in odd_primes])
+        for y in (p, p - 1):
+            assert bound_lab._prime_characters(p, y)(odd_primes) == expected, (p, y)
+
+
+def test_twisted_exception_scan_makes_no_kronecker_call(monkeypatch):
+    calls = []
+
+    def counted(d, n):
+        calls.append((d, n))
+        return kronecker(d, n)
+
+    monkeypatch.setattr(bound_lab, "kronecker", counted)
+    flagged, _ = twisted_exception_scan(600, 10**4)
+    assert not calls and flagged
+    split_and_twisted(5, 100)  # the products still go through the patched name
+    assert calls
 
 
 @settings(deadline=None)
@@ -356,3 +385,7 @@ def test_character_layer_memory_stays_bounded():
     # column over all 1,228 odd primes per core peaks near 0.96 MB)
     assert _peak_mb(split_and_twisted, 10**9 + 7, 10**6) < 0.36
     assert _peak_mb(twisted_exception_scan, 1000, 10**4) < 0.6
+    # the reciprocity tables take p bytes for each prime part p <= y only
+    # (76 KB here); a table for every prime part up to the limit would add
+    # about 0.94 MB to the measured 1.27 MB peak
+    assert _peak_mb(twisted_exception_scan, 4000, 10**3) < 1.5

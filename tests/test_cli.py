@@ -108,6 +108,7 @@ def test_survey_overflow_exit_3(capsys):
     # --T auto at an x of 4001 digits: threshold_T itself overflows
     code, out, err = run_cli(["survey", "--poly", "1,0,1", "--x", "1" + "0" * 4000], capsys)
     assert code == 3 and not out and "range" in err
+    assert err.startswith("error: x = 10^4000.0 is too large: threshold_T overflows")
 
 
 def test_survey_negative_leading_exit_2(capsys):
@@ -141,8 +142,13 @@ def test_survey_fixed_t_takes_any_a(capsys):
         (None, ["invphi", "0"], "must be a positive integer"),
         ("poly 1,0,1\n", ["rho", "--k", "65"], "config line is not key=value"),
         ("records=maybe\n", ["survey", "--poly", "1,0,1", "--x", "10"], "expects a boolean"),
+        (None, ["products", "--d", "0", "--y", "100"], "--d: must be nonzero"),
+        (None, ["products", "--d", "5", "--y", "2"], "--y: must be at least 3"),
+        (None, ["products", "--d", "5", "--y=-1e9"], "--y: must be at least 3"),
+        ("d=0\n", ["products", "--y", "100"], "--d: must be nonzero"),
     ],
-    ids=["T<=e", "auto A", "auto delta", "x=0", "invphi 0", "config no =", "config bool"],
+    ids=["T<=e", "auto A", "auto delta", "x=0", "invphi 0", "config no =", "config bool",
+         "products d=0", "products y=2", "products y<0", "products config d=0"],
 )
 def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
     if config is not None:
@@ -155,6 +161,20 @@ def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and not captured.out and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["products", "--d", "5", "--y", "1e9"], "10^8"),
+        (["products", "--d", str(2**63 + 1), "--y", "100"], "2^63"),
+    ],
+    ids=["y>10^8", "|d|>2^63"],
+)
+def test_products_caps_exit_3(capsys, args, message):
+    # the caps are computation limits, not bad arguments
+    code, out, err = run_cli(args, capsys)
+    assert code == 3 and not out and message in err
 
 
 def test_invalid_polynomial_exit_2(capsys):
