@@ -10,18 +10,18 @@ and only the natural log produces the companion constants e*log(2)/2 and
 
 Products over primes are accumulated in ascending order in float mode for
 reproducibility; an exact Fraction mode (y <= 10^4) calibrates the float
-error.  The products' characters rest on a fact about the Kronecker
-symbol: for odd q > 0, (d|q) depends only on q mod 4|d|, so when
-4|d| <= 2^17 each residue class is evaluated once and read from a table
-after.  The exception scan makes no Kronecker call.  A part that is prime
-takes its characters from quadratic reciprocity: (2|q) from q mod 8, and
-(p|q) for an odd p <= y from a table of the squares mod p, made once per
-scan; an odd p > y takes Euler's criterion.  (d|q) is completely
-multiplicative in d, so the column of characters of a composite
-squarefree part is the product of two smaller parts' columns.  The scan
-walks the primes in blocks, and keeps one column per part for the
-current block only.  Root solving is bisection with sign-checked
-brackets, never a derivative method.
+error.  One column maker gives every character (d|q), for the products,
+the split fractions and the exception scan alike, with no Kronecker call.
+Writing d = +-2^j m with m odd, reciprocity and the two supplementary
+laws give (d|q) = s(q mod 8) (q|m).  The table branch reads (q|m) from an
+m-byte table when 1 < m <= min(y, 2^17), m = 1 needs the sign alone, and
+the Euler branch takes d^((q-1)/2) mod q for each q otherwise.  All three
+walk the odd primes in blocks, and carry their products from block to
+block.  The scan takes the maker for each squarefree part that is 1 or
+prime; (d|q) is completely multiplicative in d, so the column of
+characters of a composite part is the product of two smaller parts'
+columns.  Root solving is bisection with sign-checked brackets, never a
+derivative method.
 """
 
 from __future__ import annotations
@@ -34,19 +34,13 @@ from itertools import islice
 from operator import mul
 from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .arith_core import (
-    INPUT_LIMIT,
-    factorize,
-    is_square,
-    iter_primes,
-    kronecker,
-)
+from .arith_core import INPUT_LIMIT, factorize, is_square, iter_primes
 
 _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
 _FLOAT_Y_LIMIT = 10 ** 8
-_TABLE_LIMIT = 1 << 17  # largest modulus 4|d| given a residue table
-_BLOCK = 1 << 8  # odd primes per block of the exception scan
+_TABLE_LIMIT = 1 << 17  # largest odd part m given an m-byte Jacobi table
+_BLOCK = 1 << 8  # odd primes per block of the walk
 _SCAN_WORK_LIMIT = 10 ** 8  # largest limit * y the exception scan accepts
 
 _Product = Union[float, Fraction]
@@ -180,25 +174,42 @@ def _check_product_args(d: int, y: float, exact: bool) -> None:
         raise ValueError("y exceeds the supported range 10^8")
 
 
-def _characters(d: int, primes: Iterable[int]) -> Iterator[tuple[int, int]]:
-    """(q, (d|q)) for each odd prime q of ``primes``, lazily and in order.
+def _characters(d: int, y: float) -> Callable[[list[int]], array]:
+    """The column maker of a nonzero d: (d|q) for each odd prime q of a block.
 
-    For odd q > 0, (d|q) depends only on q mod 4|d|; when 4|d| is at most
-    _TABLE_LIMIT each residue's symbol is computed once and read back for
-    every later prime in its class.  Above that, residues seldom repeat
-    below y = 10^8, and each prime gets its own kronecker call.
+    Write d = +-2^j m with m odd.  By Jacobi reciprocity and the two
+    supplementary laws, (d|q) = s(q mod 8) (q|m), where s takes (-1|q)
+    when d < 0, (2|q)^j, and -1 when m = q = 3 (mod 4).  For m = 1 the
+    sign is the character.  When m <= min(y, _TABLE_LIMIT), (q|m) is read
+    from a table of (r|m), m bytes: the product of (r|p)^e over p^e || m,
+    each tiled from p's table of squares.  Otherwise each q takes Euler's
+    criterion d^((q-1)/2) mod q, valid for any d since q is prime.
     """
-    modulus = 4 * abs(d)
-    # (d|q) + 2 at q mod 4|d|, 0 until a prime meets it
-    table = bytearray(modulus) if modulus <= _TABLE_LIMIT else None
-    for q in primes:
-        if q != 2:
-            shifted = table[q % modulus] if table else 0
-            if not shifted:
-                shifted = kronecker(d, q) + 2
-                if table:
-                    table[q % modulus] = shifted
-            yield q, shifted - 2
+    j = (d & -d).bit_length() - 1
+    m = abs(d) >> j
+    # (-1|q) and the reciprocity sign flip q = 3 (mod 4); (2|q) flips q = 3, 5 (mod 8)
+    odd = -1 if (d < 0) != (m % 4 == 3) else 1
+    two = -1 if j % 2 else 1
+    sign = (0, 1, 0, odd * two, 0, two, 0, odd)  # s at q mod 8
+    if m == 1:
+        return lambda block: array("b", [sign[q & 7] for q in block])
+    if m > min(y, _TABLE_LIMIT):
+        return lambda block: array("b", [(pow(d, q >> 1, q) + 1) % q - 1 for q in block])
+    jacobi = array("b", [1]) * m  # (r|m) at r
+    for p, e in factorize(m).factors:
+        power = array("b", [-1 if e % 2 else 1]) * p  # (r|p)^e at r
+        power[0] = 0
+        for i in range(1, p // 2 + 1):
+            power[i * i % p] = 1
+        jacobi = power if p == m else array("b", map(mul, jacobi, power * (m // p)))
+    return lambda block: array("b", [sign[q & 7] * jacobi[q % m] for q in block])
+
+
+def _blocks(y: float) -> Iterator[list[int]]:
+    """The odd primes <= y, ascending, in lists of _BLOCK."""
+    odd_primes = islice(iter_primes(int(y)), 1, None)
+    while block := list(islice(odd_primes, _BLOCK)):
+        yield block
 
 
 def _fold(
@@ -224,8 +235,11 @@ def _fold(
 def split_and_twisted(d: int, y: float, exact: bool = False) -> tuple[_Product, _Product]:
     """(product_split(d, y), product_twisted(d, y)) from one walk over the primes <= y."""
     _check_product_args(d, y, exact)
-    one: _Product = Fraction(1) if exact else 1.0
-    return _fold(_characters(d, iter_primes(int(y))), one, one)
+    characters = _characters(d, y)
+    split = twisted = Fraction(1) if exact else 1.0
+    for block in _blocks(y):
+        split, twisted = _fold(zip(block, characters(block)), twisted, split)
+    return split, twisted
 
 
 def product_split(d: int, y: float, exact: bool = False) -> _Product:
@@ -248,39 +262,16 @@ def split_fraction(disc: int, a_coef: int, y: float) -> Fraction:
         raise ValueError("y must lie in [3, 10^8]")
     y = int(y)
     excluded = 2 * a_coef * disc
+    characters = _characters(disc, y)
     split = total = 0
-    for q, chi in _characters(disc, iter_primes(y)):
-        if excluded % q:
-            total += 1
-            split += chi == 1
+    for block in _blocks(y):
+        for q, chi in zip(block, characters(block)):
+            if excluded % q:
+                total += 1
+                split += chi == 1
     if not total:
         raise ValueError(f"every odd prime <= {y} divides 2aD = {excluded}")
     return Fraction(split, total)
-
-
-def _prime_characters(p: int, y: float) -> Callable[[list[int]], array]:
-    """The column maker of p = 1 or a prime: (p|q) for each odd prime q of a block.
-
-    For p = 2 the second supplementary law reads (2|q) from q mod 8.  For
-    an odd p <= y quadratic reciprocity gives (p|q) = (q|p), negated when
-    p = q = 3 (mod 4), and (q|p) is read from a table of the squares mod p,
-    p bytes.  For p > y every q is below p, so a table would cost more than
-    the walk: each q takes Euler's criterion p^((q-1)/2) mod q instead.
-    """
-    if p == 1:
-        return lambda block: array("b", [1]) * len(block)
-    if p == 2:
-        return lambda block: array("b", [(0, 1, 0, -1, 0, -1, 0, 1)[q & 7] for q in block])
-    if p > y:
-        return lambda block: array("b", [(pow(p, q >> 1, q) + 1) % q - 1 for q in block])
-    legendre = array("b", [-1]) * p  # (r|p) at r
-    legendre[0] = 0
-    for i in range(1, p // 2 + 1):
-        legendre[i * i % p] = 1
-    # q & p & 2 is set exactly when p = q = 3 (mod 4)
-    return lambda block: array(
-        "b", [-legendre[q % p] if q & p & 2 else legendre[q % p] for q in block]
-    )
 
 
 def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]:
@@ -288,7 +279,7 @@ def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]
 
     The odd primes <= y are walked in blocks of _BLOCK.  In each block a
     core that is 1 or prime reads its column of characters from its
-    _prime_characters maker, made once per scan; any other core multiplies
+    _characters maker, made once per scan; any other core multiplies
     the columns of its least prime and of the cofactor, both smaller cores,
     since (d|q) is completely multiplicative in d.  Each product is carried
     from block to block through _fold.
@@ -301,9 +292,8 @@ def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]
         core_of.append(core)
         least.setdefault(core, odd[0] if len(odd) > 1 else 1)
     products = dict.fromkeys(least, 1.0)
-    makers = {core: _prime_characters(core, y) for core, p in least.items() if p == 1}
-    odd_primes = islice(iter_primes(int(y)), 1, None)
-    while block := list(islice(odd_primes, _BLOCK)):
+    makers = {core: _characters(core, y) for core, p in least.items() if p == 1}
+    for block in _blocks(y):
         columns: dict[int, array] = {}  # core -> its characters at the block, as signed bytes
         for core, p in least.items():  # a core is met first at d = core, after both its factors
             if p == 1:

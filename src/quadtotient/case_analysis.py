@@ -98,8 +98,8 @@ class CaseReport:
 
 def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
     """exp(((1 - delta)/A) * (log x / loglog x)), the survey cutoff scale."""
-    if x <= _MIN_X_FOR_THRESHOLD:
-        raise ValueError("threshold_T requires x > e^e")
+    if not _MIN_X_FOR_THRESHOLD < x < math.inf:  # NaN fails here too
+        raise ValueError(f"threshold_T requires a finite x > e^e, got x = {x}")
     if not 0.5 < a_param < 1.0:
         raise ValueError("A must lie in (1/2, 1)")
     if not 0.0 <= delta <= 1.0:

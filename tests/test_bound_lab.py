@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadtotient import bound_lab
+from quadtotient import arith_core, bound_lab
 from quadtotient import (
     b_exponent,
     crossover_eps,
@@ -302,12 +302,14 @@ def _per_prime_fold(d, odd_primes, exact=False):
 
 
 def test_split_and_twisted_bit_identical_to_per_prime_fold():
-    # residue tables for 4|d| <= 2^17, per-prime symbols above; both signs,
-    # q | d, a square times a core, and y at a prime and just past it
-    for y in (3, 9973, 9974, 30011, 30012):
+    # tables of (q|m) for odd parts m <= min(y, 2^17), Euler's criterion above;
+    # both signs, q | d, a square times a core, odd parts at and just past the
+    # cap, and y at a prime and just past it
+    for y in (3, 9973, 9974, 30011, 30012, 131101):
         primes = _odd_primes(y)
         for d in (5, -7, 1, -1, 2, -8, 3 * 7 * 11 * 13, -(3 * 7 * 11 * 13), 45, -12,
-                  1 << 15, (1 << 15) + 1, -(10**9 + 7), -(1 << 63), (1 << 61) - 1):
+                  1 << 15, (1 << 15) + 1, -(10**9 + 7), -(1 << 63), (1 << 61) - 1,
+                  131071, 2 * 131071, (1 << 17) + 3, 3**39, 1 << 62):
             assert split_and_twisted(d, y) == _per_prime_fold(d, primes), (d, y)
             if y <= 10**4:
                 exact = _per_prime_fold(d, primes, exact=True)
@@ -333,29 +335,48 @@ def test_twisted_exception_scan_bit_identical_to_per_core_fold():
 
 
 def test_prime_characters_match_kronecker():
-    # every branch of the column maker: p = 1, p = 2 by q mod 8, an odd p <= y
-    # by reciprocity and its table of squares, an odd p > y by Euler's
-    # criterion; q = p included
+    # every branch of the column maker: d = 1 and d = 2 by the sign at q mod 8,
+    # an odd d <= y by reciprocity and its table, an odd d > y by Euler's
+    # criterion; q = d included
     odd_primes = _odd_primes(5000)
     sieve = simple_prime_sieve(2000)
     for p in [1, *(p for p in range(2, 2001) if sieve[p])]:
         expected = array("b", [kronecker(p, q) for q in odd_primes])
         for y in (p, p - 1):
-            assert bound_lab._prime_characters(p, y)(odd_primes) == expected, (p, y)
+            assert bound_lab._characters(p, y)(odd_primes) == expected, (p, y)
+    # any nonzero d: odd part 1 takes the sign alone, at y = 3 only the odd
+    # part 3 gets a table, at y = 10^8 every odd part up to 2^17 does, and
+    # the rest take Euler's criterion; both signs, any power of 2, q | d and
+    # odd parts at the cap
+    odd_primes = _odd_primes(3000)
+    edges = [1 << 63, -(1 << 63), (1 << 17) + 1, (1 << 17) - 1, 2 * 131071, 3**39, -(3**39),
+             99991**2]
+    for d in [*range(-2000, 0), *range(1, 2001), *edges]:
+        expected = array("b", [kronecker(d, q) for q in odd_primes])
+        for y in (3, 10**8):
+            assert bound_lab._characters(d, y)(odd_primes) == expected, (d, y)
 
 
 def test_twisted_exception_scan_makes_no_kronecker_call(monkeypatch):
+    # the characters come from reciprocity and Euler's criterion: neither the
+    # scan, nor the products on either branch, nor split_fraction calls kronecker
     calls = []
 
     def counted(d, n):
         calls.append((d, n))
         return kronecker(d, n)
 
-    monkeypatch.setattr(bound_lab, "kronecker", counted)
+    monkeypatch.setattr(arith_core, "kronecker", counted)
+    assert not hasattr(bound_lab, "kronecker")
     flagged, _ = twisted_exception_scan(600, 10**4)
-    assert not calls and flagged
-    split_and_twisted(5, 100)  # the products still go through the patched name
-    assert calls
+    assert flagged
+    split_and_twisted(5, 10**4)  # a table of (q|5)
+    split_and_twisted(131071, 2 * 10**5)  # a table at the 2^17 cap
+    split_and_twisted(-(1 << 63), 10**4)  # odd part 1: the sign alone
+    split_and_twisted((1 << 61) - 1, 10**4)  # Euler's criterion
+    split_fraction(5, 1, 10**4)
+    split_fraction(10**9 + 7, 1, 10**4)
+    assert not calls
 
 
 @settings(deadline=None)
@@ -365,7 +386,7 @@ def test_twisted_exception_scan_makes_no_kronecker_call(monkeypatch):
     st.integers(min_value=0, max_value=10**6),
 )
 def test_kronecker_periodic_in_odd_q(d, half, k):
-    # the fact behind the residue table: (d|q) depends only on q mod 4|d|
+    # a consequence of reciprocity: (d|q) depends only on q mod 4|d|
     q = 2 * half + 1
     assert kronecker(d, q) == kronecker(d, q + 4 * abs(d) * k)
 
@@ -380,10 +401,14 @@ def _peak_mb(fn, *args):
 
 
 def test_character_layer_memory_stays_bounded():
-    # no residue table above the bound (the per-prime walk peaks near 0.27 MB);
-    # the scan's columns span one block of primes (0.33 MB here, while one
-    # column over all 1,228 odd primes per core peaks near 0.96 MB)
+    # no table past the cap (Euler's criterion block by block peaks near
+    # 0.29 MB); the scan's columns span one block of primes (0.50 MB here,
+    # while one column over all 1,228 odd primes per core peaks near 0.96 MB)
     assert _peak_mb(split_and_twisted, 10**9 + 7, 10**6) < 0.36
+    assert _peak_mb(split_and_twisted, 3 * 131101, 10**6) < 0.36  # 0.29 MB
+    # a table at the cap: 131,071 bytes, and one more while it is built
+    # (0.42 MB, against 0.29 MB for d = 5)
+    assert _peak_mb(split_and_twisted, 131071, 10**6) < 0.5
     assert _peak_mb(twisted_exception_scan, 1000, 10**4) < 0.6
     # the reciprocity tables take p bytes for each prime part p <= y only
     # (76 KB here); a table for every prime part up to the limit would add

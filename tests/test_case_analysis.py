@@ -229,8 +229,11 @@ def test_survey_checks_case_split_before_sieving(monkeypatch, poly, t_cut, a_par
         (lambda: square_divisor_count(P, 0, 4), "x >= 1 and bound >= 1"),
         (lambda: square_divisor_count(P, 10, 0), "x >= 1 and bound >= 1"),
         (lambda: ew_density_probe(P, 5.0, 0), "ew_density_probe requires x >= 1"),
+        (lambda: threshold_T(math.inf, 0.76), "finite x > e\\^e, got x = inf"),
+        (lambda: threshold_T(math.nan, 0.76), "finite x > e\\^e, got x = nan"),
     ],
-    ids=["survey x<1", "squares x<1", "squares bound<1", "probe x<1"],
+    ids=["survey x<1", "squares x<1", "squares bound<1", "probe x<1", "threshold x=inf",
+         "threshold x=nan"],
 )
 def test_sweep_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -303,6 +303,31 @@ def test_sweep_output_pinned(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (["products", "--d", "5", "--y", "3e6"],
+         "7d0e28a04c25511fff7b8be97ce9e9355da072a88d5b840f6d115929c5c2facd"),
+        (["products", "--d", "-4", "--y", "1e6"],
+         "b04659b6dc00e6caed9522db408f22ec13aff54c39258d3de4b998146fa42970"),
+        (["products", "--d", "3003", "--y", "1e6"],
+         "645560c65f133b9d2687117f1b4bcdbd7aa318b0680724eb4b6fc1c799abd60a"),
+        (["products", "--d=-9223372036854775808", "--y", "1e5"],
+         "f4ea91869d6b044dc59b35949322841cf7048e45ea7946a4b5f93c883c028415"),
+        (["products", "--d", "131071", "--y", "1e6"],
+         "b40b45bd297b498418949fafb72a0b0da0f461dbe9ac2ce454dd3919c112591a"),
+        (["products", "--d", "45", "--y", "1e4"],
+         "7cc370475119d1291bb5a58c577ef58f8f89167d7c87a82917ba81d9f11fe007"),
+    ],
+)
+def test_products_output_pinned(capsys, args, digest):
+    # digests of the output from before the characters came from reciprocity,
+    # when each was a kronecker call, read back from a q mod 4|d| table
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "report.csv"
     code, out, _ = run_cli(
