@@ -2,6 +2,8 @@
 
 Primality, factorization, prime generation, Euler's phi, the Kronecker
 symbol, modular square roots, squarefree parts and prime-factor counting.
+Square roots tell residues from nonresidues by Euler's criterion, one
+modular power, and make no Kronecker call.
 Everything is deterministic: primality is a Miller-Rabin test whose prime
 witnesses are chosen by the size of n, from the minimal sets proved
 complete by Jaeschke (Math. Comp. 61, 1993) and Sorenson and Webster
@@ -263,7 +265,7 @@ def _tonelli_shanks(a: int, p: int) -> set[int]:
     a %= p
     if a == 0:
         return {0}
-    if kronecker(a, p) == -1:
+    if pow(a, p >> 1, p) != 1:  # Euler's criterion
         return set()
     q, s = p - 1, 0
     while q % 2 == 0:
@@ -273,7 +275,7 @@ def _tonelli_shanks(a: int, p: int) -> set[int]:
     t = pow(a, q, p)
     if t != 1:  # else r is a root already, as always for p = 3 (mod 4)
         z = 2
-        while kronecker(z, p) != -1:
+        while pow(z, p >> 1, p) != p - 1:
             z += 1
         c = pow(z, q, p)
         m = s

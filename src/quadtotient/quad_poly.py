@@ -4,11 +4,13 @@ A quadratic a*x^2 + b*x + c is held exactly; the module counts and lists
 its roots modulo prime powers and general moduli, and builds the reduced
 quadratic obtained by following an arithmetic progression through a root.
 
-Roots and root counts modulo a prime power p^r come from exact lifting:
-the content at p is taken out first, then the roots mod p are lifted level
-by level, by a unique Hensel step where the derivative is a unit and a
-brute split at singular roots.  For p not dividing 2*a*D this gives
-1 + (D|p) roots, 0 or 2, at every level.
+Roots and root counts modulo a prime power p^r come from one lift, which
+checks p^r and proves p prime once, takes out the content p^s at p once,
+and lifts the roots mod p of the rest level by level to p^(r - s), by a
+unique Hensel step where the derivative is a unit and a brute split at
+singular roots.  The count is p^s times theirs; the list expands each
+into p^s roots.  For p not dividing 2*a*D this gives 1 + (D|p) roots,
+0 or 2, at every level.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
@@ -124,29 +126,6 @@ def _raw(poly: QuadPoly, n: int) -> int:
     return (poly.a * n + poly.b) * n + poly.c
 
 
-def _strip_content(poly: QuadPoly, p: int, r: int) -> tuple[int, QuadPoly]:
-    """Check the prime power p^r, then split off the content at p.
-
-    Returns (s, poly / p^s) where p^s is the largest power of p dividing
-    every coefficient, capped at s = r (the quotient is then unused).
-    """
-    if r < 1:
-        raise ValueError("exponent must be positive")
-    if not is_prime(p):
-        raise ValueError("modulus base must be prime")
-    if p ** r > INPUT_LIMIT:
-        raise ValueError("prime power exceeds the supported range 2^63")
-    g = math.gcd(math.gcd(abs(poly.a), abs(poly.b)), abs(poly.c))
-    s = 0
-    while s < r and g % p == 0:
-        g //= p
-        s += 1
-    if not s:
-        return 0, poly
-    scale = p ** s
-    return s, QuadPoly(poly.a // scale, poly.b // scale, poly.c // scale)
-
-
 def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
     """Roots of poly mod p, for a prime p not dividing all coefficients."""
     if p == 2:
@@ -162,25 +141,27 @@ def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
     return sorted({(-poly.b + s) * inv2a % p for s in sqrts})
 
 
-def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
-    """All x in [0, p^r) with poly(x) = 0 (mod p^r), ascending.
+def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
+    """Check p^r, take out the content p^s at p (s <= r) and lift: (s, roots).
 
-    Content (a power of p dividing all coefficients) is stripped first;
-    the remaining roots are lifted level by level, with a unique Hensel
-    step where the derivative is invertible and a p-way split elsewhere.
+    roots are the roots of poly / p^s mod p^(r - s), unordered; [0] if s = r.
     """
-    sigma, stripped = _strip_content(poly, p, r)
-    if sigma:
-        # with the whole of p^r in the content every residue is a root
-        sub = prime_power_roots(stripped, p, r - sigma) if sigma < r else [0]
-        scale, step = p ** sigma, p ** (r - sigma)
-        if len(sub) * scale > _ROOT_SET_LIMIT:
-            raise ValueError("root set too large to enumerate")
-        return sorted(t + j * step for t in sub for j in range(scale))
-
+    if r < 1:
+        raise ValueError("exponent must be positive")
+    if not is_prime(p):
+        raise ValueError("modulus base must be prime")
+    # p >= 2, so r >= 64 is out of range before the power is formed
+    if r >= 64 or p ** r > INPUT_LIMIT:
+        raise ValueError("prime power exceeds the supported range 2^63")
+    s = 0
+    while s < r and poly.a % p == poly.b % p == poly.c % p == 0:
+        poly = QuadPoly(poly.a // p, poly.b // p, poly.c // p)
+        s += 1
+    if s == r:
+        return s, [0]
     roots = _roots_mod_prime(poly, p)
     mod = p
-    for _ in range(r - 1):
+    for _ in range(r - s - 1):
         nxt = mod * p
         lifted: list[int] = []
         for t in roots:
@@ -194,15 +175,29 @@ def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
                 raise ValueError("root set too large to enumerate")
         roots = lifted
         mod = nxt
-    return sorted(roots)
+    return s, roots
+
+
+def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
+    """All x in [0, p^r) with poly(x) = 0 (mod p^r), ascending.
+
+    With p^s the content at p, each root t of poly / p^s modulo p^(r - s)
+    stands for the p^s roots t + j * p^(r - s).
+    """
+    s, roots = _lift(poly, p, r)
+    scale, step = p ** s, p ** (r - s)
+    if len(roots) * scale > _ROOT_SET_LIMIT:
+        raise ValueError("root set too large to enumerate")
+    return sorted(t + j * step for t in roots for j in range(scale))
 
 
 def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
-    """Number of roots of poly modulo p^r, by exact lifting."""
-    sigma, stripped = _strip_content(poly, p, r)
-    if sigma:
-        return p ** sigma * (rho_prime_power(stripped, p, r - sigma) if sigma < r else 1)
-    return len(prime_power_roots(poly, p, r))
+    """Number of roots of poly modulo p^r, by exact lifting.
+
+    The content p^s at p multiplies the count; those roots are not listed.
+    """
+    s, roots = _lift(poly, p, r)
+    return p ** s * len(roots)
 
 
 def rho(poly: QuadPoly, k: int) -> int:

@@ -16,6 +16,7 @@ from quadtotient import (
     rho,
     rho_prime_power,
     roots_mod,
+    sqrt_mod_prime,
 )
 
 # Coefficient battery: content > 1, p | a, p | D, square and zero
@@ -81,6 +82,26 @@ def test_rho_prime_power_examples():
     assert rho_prime_power(poly, 3, 1) == 0
     assert rho_prime_power(poly, 5, 2) == 2
     assert rho_prime_power(poly, 2, 1) == 1
+    # the count passes the listing limit that prime_power_roots enforces
+    # (the "content root set" case of test_argument_guards)
+    big = 2**31 - 1
+    assert rho_prime_power(QuadPoly(big, 0, big), big, 1) == big
+
+
+def test_prime_power_proves_its_prime_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return arith_core.is_prime(n)
+
+    monkeypatch.setattr(quad_poly, "is_prime", counted)
+    poly = QuadPoly(10, 0, 10)  # content 5 at p = 5
+    assert rho_prime_power(poly, 5, 3) == 10
+    assert calls == [5]
+    calls.clear()
+    assert len(prime_power_roots(poly, 5, 3)) == 10
+    assert calls == [5]
 
 
 def test_rho_prime_power_brute_battery():
@@ -133,6 +154,7 @@ def test_rho_examples():
     assert rho(poly, 1) == 1
     assert rho(poly, 3) == 0
     assert brute_roots(poly, 65) == [8, 18, 47, 57]
+    assert rho(QuadPoly(1, 0, 7), 2**63) == 4  # -7 = 1 (mod 8): four roots mod 2^r, r >= 3
 
 
 def test_hensel_stability():
@@ -202,14 +224,16 @@ def test_reduce_at_root_examples():
         (lambda: prime_power_roots(QuadPoly(1, 0, 1), 5, 0), "exponent must be positive"),
         (lambda: prime_power_roots(QuadPoly(1, 0, 1), 15, 1), "must be prime"),
         (lambda: prime_power_roots(QuadPoly(1, 0, 1), 2, 64), "2\\^63"),
+        # refused before 3^(10^9) is formed
+        (lambda: prime_power_roots(QuadPoly(1, 0, 1), 3, 10**9), "2\\^63"),
         # the content 2^31 - 1 makes every residue mod 2^31 - 1 a root
         (lambda: prime_power_roots(QuadPoly(2**31 - 1, 0, 2**31 - 1), 2**31 - 1, 1), "too large"),
         (lambda: rho(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
         (lambda: roots_mod(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
         (lambda: reduce_at_root(QuadPoly(1, 0, 1), 0, 0), "v must be positive"),
     ],
-    ids=["r<1", "composite p", "p^r>2^63", "content root set", "rho k<1", "roots_mod v<1",
-         "reduce_at_root v<1"],
+    ids=["r<1", "composite p", "p^r>2^63", "r=10^9", "content root set", "rho k<1",
+         "roots_mod v<1", "reduce_at_root v<1"],
 )
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
@@ -364,3 +388,21 @@ def test_factor_values_proves_no_sieved_prime_again(monkeypatch):
         monkeypatch.setattr(module, "is_prime", lambda n: calls.append(n))
     assert list(factor_values(poly, 1000)) == expect
     assert not calls
+
+
+def test_no_internal_path_calls_kronecker(monkeypatch):
+    # Tonelli-Shanks tells residues by Euler's criterion
+    def refuse(d, n):
+        raise AssertionError(f"kronecker({d}, {n}) called")
+
+    monkeypatch.setattr(arith_core, "kronecker", refuse)
+    for p in primes_up_to(500)[1:]:
+        roots: dict[int, set[int]] = {}
+        for t in range(p):
+            roots.setdefault(t * t % p, set()).add(t)
+        for a in range(p):
+            assert sqrt_mod_prime(a, p) == roots.get(a, set()), (a, p)
+    poly = QuadPoly(1, 0, 1)
+    for q in range(1, 1000):
+        assert rho(poly, q) == brute_root_count(poly, q), q
+    assert list(factor_values(poly, 2000)) == [factorize(poly(n)) for n in range(1, 2001)]
