@@ -9,9 +9,9 @@ to CSV (one row per n) or a JSON summary.
 
 The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
 factor each value once, by the root sieve ``quad_poly.factor_values``,
-and trial-divide none.  ``survey`` sieves only the n whose value is even,
-one residue class mod 2 or all n, since it rejects odd values above 1
-without factoring them; an always-odd quadratic is not sieved at all.
+and trial-divide none.  ``survey`` rejects odd values above 1 unfactored,
+so it sieves only the n whose value is even, read off n mod 2 after P(1)
+and P(2), and ``classify`` makes the only evaluation of each P(n).
 """
 
 from __future__ import annotations
@@ -193,12 +193,11 @@ def survey(
     tallies = {case: 0 for case in Case}
     records: list[CaseRecord] = []
     # P(n) mod 2 follows n mod 2: the even values sit at every n, at one
-    # residue class mod 2, or nowhere
+    # residue class mod 2, or nowhere; n shares its class with 2 - n % 2
     even = [n for n in (1, 2) if poly(n) % 2 == 0]
-    step = 1 if len(even) == 2 else 2
-    sieve = factor_values(poly, x, even[0], step) if even else iter(())
+    sieve = factor_values(poly, x, even[0], 3 - len(even)) if even else iter(())
     for n in range(1, x + 1):
-        factorization = next(sieve) if poly(n) % 2 == 0 else None
+        factorization = next(sieve) if 2 - n % 2 in even else None
         record = classify(poly, n, x, t_cut, a_param, factorization)
         tallies[record.case] += 1
         if keep_records:

@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Optional
+from typing import Callable, Optional
 
 from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import (
@@ -46,11 +46,20 @@ def _poly_arg(text: str) -> QuadPoly:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+def _int_arg(valid: Callable[[int], bool], rule: str) -> Callable[[str], int]:
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError("expected an integer") from None
+        if not valid(n):
+            raise argparse.ArgumentTypeError(rule)
+        return n
+    return parse
+
+
+_positive_int = _int_arg(lambda n: n >= 1, "must be a positive integer")
+_nonzero_int = _int_arg(bool, "must be nonzero")
 
 
 def _finite_float(text: str) -> float:
@@ -61,13 +70,6 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError("expected a finite number")
     return value
-
-
-def _nonzero_int(text: str) -> int:
-    n = int(text)
-    if n == 0:
-        raise argparse.ArgumentTypeError("must be nonzero")
-    return n
 
 
 def _product_y(text: str) -> float:

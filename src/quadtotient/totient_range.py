@@ -1,13 +1,14 @@
 """The inverse image of Euler's totient function.
 
-Every fiber query on an even n > 1 runs on one memoized search over the
-divisors of n.  An odd prime p can divide a preimage only if p - 1 divides
-n, so the search lists the divisors once and tests d + 1 for primality
+Each fiber query answers an odd n > 1 at once, since phi(m) is even for
+every m > 2, and runs any other n on one memoized search over the even
+divisors of n: an odd prime p can divide a preimage only if p - 1 divides
+n, so the search lists the even divisors once and tests d + 1 for primality
 lazily, keeping each answer.  Its table holds, for each divisor r of n it
 reaches, the least possible largest odd prime of an m with phi(m) = r: 0
 when r is 1 or a power of two (m is then a power of two), infinity when r
-has no preimage.  An m with phi(m) = r whose largest odd prime is p, to
-the power k + 1, exists exactly when (p - 1) * p^k divides r and the table
+has no preimage.  An m with phi(m) = r whose largest odd prime is p, to the
+power k + 1, exists exactly when (p - 1) * p^k divides r and the table
 entry of r / ((p - 1) * p^k) is below p.  This is the divisor dynamic
 programming of Contini, Croot and Shparlinski (Math. Comp. 2006) and of
 Alekseyev (J. Integer Seq. 2016).
@@ -72,21 +73,20 @@ class PreimageSet:
 
 
 class _FiberSearch:
-    """The memoized divisor search over the fiber of one even n > 1."""
+    """The memoized search over the even divisors of one n = 1 or even n."""
 
     def __init__(self, factorization: Factorization) -> None:
         self.n = factorization.value
-        self._divisors = factorization.divisors()
-        self._prime_after: dict[int, bool] = {}  # d -> d + 1 is an odd prime
+        self._divisors = [d for d in factorization.divisors() if d % 2 == 0]
+        self._prime_after: dict[int, bool] = {}  # d -> d + 1 is prime
         self._least_top: dict[int, float] = {
-            d: 0 for d in self._divisors if d & (d - 1) == 0
+            d: 0 for d in (1, *self._divisors) if d & (d - 1) == 0
         }
 
     def _is_prime_after(self, d: int) -> bool:
         prime = self._prime_after.get(d)
         if prime is None:
-            # d = 1 gives the even prime; an odd d > 1 gives an even d + 1
-            prime = self._prime_after[d] = d % 2 == 0 and is_prime(d + 1)
+            prime = self._prime_after[d] = is_prime(d + 1)
         return prime
 
     def _admits(self, r: int, d: int) -> bool:
@@ -106,7 +106,7 @@ class _FiberSearch:
 
     def listed(self) -> list[int]:
         """Every d | n with d + 1 an odd prime, ascending; the walks take it in
-        place of the divisors from here on, since no other d is admitted."""
+        place of the even divisors from here on, since no other d is admitted."""
         self._divisors = [d for d in self._divisors if self._is_prime_after(d)]
         return self._divisors
 
@@ -155,12 +155,11 @@ def _check_fiber_arg(n: int, name: str) -> None:
 def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = None) -> int:
     """The largest prime of any m with phi(m) = n, 0 when n is a nontotient.
 
-    ``factorization`` is that of n; without it n is factored if even.
+    One parity test rejects an odd n > 1.  ``factorization`` is that of n;
+    without it n is factored if needed.
     """
     _check_fiber_arg(n, "the fiber search")
-    if n == 1:
-        return 2
-    if n % 2 == 1:
+    if n % 2 and n > 1:
         return 0
     # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
     if n % 4 == 2 and is_prime(n + 1):
@@ -176,11 +175,10 @@ def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = Non
 
 
 def inverse_totient(n: int) -> PreimageSet:
-    """Every m with phi(m) = n, ascending; empty iff n is a nontotient."""
+    """Every m with phi(m) = n, ascending; empty iff n is a nontotient, and
+    at once, by one parity test, for an odd n > 1."""
     _check_fiber_arg(n, "inverse_totient")
-    if n == 1:
-        return PreimageSet(1, (1, 2), 2)
-    if n % 2 == 1:
+    if n % 2 and n > 1:
         return PreimageSet(n, (), 0)
 
     search = _FiberSearch(factorize(n))

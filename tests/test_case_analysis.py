@@ -317,6 +317,17 @@ def test_sweeps_match_per_n_recount(prime_sieve_1e6, a, b, c, x, t_cut, bound):
     assert square_divisor_count(poly, x, bound) == squares
 
 
+def test_survey_evaluates_each_value_once(monkeypatch):
+    # the sieve's progression gives the parity of each P(n), so only
+    # classify evaluates it
+    calls = []
+    evaluate = QuadPoly.__call__
+    monkeypatch.setattr(QuadPoly, "__call__", lambda poly, n: calls.append(n) or evaluate(poly, n))
+    report = survey(P, 1000, 50.0, 0.76, keep_records=True)
+    assert len(calls) <= 1000 + 10
+    assert [r.value for r in report.records] == [n * n + 1 for n in range(1, 1001)]
+
+
 def test_always_odd_survey_does_no_primality_work(monkeypatch):
     calls = []
     for module in (arith_core, quad_poly, case_analysis, totient_range):

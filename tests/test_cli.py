@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -146,9 +147,18 @@ def test_survey_fixed_t_takes_any_a(capsys):
         (None, ["products", "--d", "5", "--y", "2"], "--y: must be at least 3"),
         (None, ["products", "--d", "5", "--y=-1e9"], "--y: must be at least 3"),
         ("d=0\n", ["products", "--y", "100"], "--d: must be nonzero"),
+        (None, ["survey", "--poly", "1,0,1", "--x", "1e3"], "--x: expected an integer"),
+        (None, ["products", "--d", "2.5", "--y", "100"], "--d: expected an integer"),
+        (
+            None,
+            ["squares", "--poly", "1,0,1", "--x", "10", "--bound", "1.5"],
+            "--bound: expected an integer",
+        ),
+        (None, ["invphi", "0x10"], "argument n: expected an integer"),
     ],
     ids=["T<=e", "auto A", "auto delta", "x=0", "invphi 0", "config no =", "config bool",
-         "products d=0", "products y=2", "products y<0", "products config d=0"],
+         "products d=0", "products y=2", "products y<0", "products config d=0",
+         "survey x=1e3", "products d=2.5", "squares bound=1.5", "invphi 0x10"],
 )
 def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
     if config is not None:
@@ -161,6 +171,7 @@ def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and not captured.out and message in captured.err
+    assert not re.search(r"\b_[a-z]", captured.err)  # no private helper named
 
 
 @pytest.mark.parametrize(

@@ -173,6 +173,15 @@ def test_search_matches_enumeration_and_sweep(phi_map_1e5, n):
 
 
 @settings(deadline=None)
+@given(st.integers(min_value=0, max_value=5 * 10**4 - 1).map(lambda k: 2 * k + 1))
+@example(1)
+def test_search_matches_enumeration_on_odd_values(n):
+    # 1 and the odd nontotients share one parity test in p_max and
+    # inverse_totient, and the search answers 1
+    assert _searched(n) == _enumerated(n) == ((True, 2) if n == 1 else (False, 0))
+
+
+@settings(deadline=None)
 @given(st.sampled_from((1, 2, 720, 5040)), st.integers(min_value=1, max_value=400))
 def test_search_matches_enumeration_on_quadratic_values(k, m):
     n = k * (m * m + 1)
