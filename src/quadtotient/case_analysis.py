@@ -12,6 +12,9 @@ factor each value once, by the root sieve ``quad_poly.factor_values``,
 and trial-divide none.  ``survey`` rejects odd values above 1 unfactored,
 so it sieves only the n whose value is even, read off n mod 2 after P(1)
 and P(2), and ``classify`` makes the only evaluation of each P(n).
+``ew_density_probe`` rejects odd values before listing their divisors:
+an odd value has only odd divisors d, and d + 1 is an odd prime only for
+even d, so it counts only through p = 2, that is exactly when T < 2.
 """
 
 from __future__ import annotations
@@ -227,17 +230,21 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
 
 
 def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
-    """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n)."""
+    """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n).
+
+    An odd value is rejected before its divisors are listed; T < 2 counts
+    every n through p = 2.
+    """
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
     if math.isnan(t_cut):
         raise ValueError("T must be a number, got NaN")
     count = 0
     for factorization in factor_values(poly, x):
-        # an odd d > 1 makes d + 1 even, so only d = 1 and even d are tested
-        if any(
-            d + 1 > t_cut and (d % 2 == 0 or d == 1) and is_prime(d + 1)
-            for d in factorization.divisors()
+        # p - 1 is even for an odd prime p, so an odd value counts only
+        # through p = 2, which clears the cutoff exactly when T < 2
+        if t_cut < 2 or factorization.value % 2 == 0 and any(
+            d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors()
         ):
             count += 1
     return Fraction(count, x)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: survey, rho, invphi, bounds, products, probe, squares.
-Output is a single JSON value or a CSV table on stdout (or --out PATH),
+Subcommands: survey, rho, invphi, bounds, products, probe, squares, each
+declared once with its renderer beside its flags.  Each writes a single
+JSON value or a CSV table to stdout, or to the file named by --out PATH,
 byte-identical across reruns with the same arguments.  A config file of
 key=value lines may supply defaults; explicit flags win.
 
@@ -33,10 +34,6 @@ _CONFIG_KEYS = {
     "records", "allow-reducible",
 }
 _BOOL_FLAGS = {"records", "allow-reducible"}
-
-
-def _sig12(value: float) -> float:
-    return float(f"{value:.12g}")
 
 
 def _poly_arg(text: str) -> QuadPoly:
@@ -102,10 +99,16 @@ def build_parser() -> argparse.ArgumentParser:
         "inverse totients, prime products, and solved exponent constants.",
         parents=[_config_parser()],
     )
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-", help="output path, '-' for stdout")
+    poly = argparse.ArgumentParser(add_help=False)
+    poly.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_survey = sub.add_parser("survey", help="classify every n <= x and tally cases")
-    p_survey.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
+    def command(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
+        return sub.add_parser(name, help=help_text, parents=[*parents, out])
+
+    p_survey = command("survey", "classify every n <= x and tally cases", poly)
     p_survey.add_argument("--x", type=_positive_int, required=True)
     p_survey.add_argument(
         "--T", type=_t_arg, default="auto", help="cutoff, or 'auto' (clamped to >= 16)"
@@ -113,42 +116,36 @@ def build_parser() -> argparse.ArgumentParser:
     p_survey.add_argument("--A", type=_finite_float, default=DEFAULT_A)
     p_survey.add_argument("--delta", type=_finite_float, default=0.0)
     p_survey.add_argument("--format", choices=("csv", "json"), default="json")
-    p_survey.add_argument("--out", default="-", help="output path, '-' for stdout")
     p_survey.add_argument("--records", action="store_true", help="keep per-n records")
     p_survey.add_argument("--allow-reducible", action="store_true")
+    p_survey.set_defaults(render=_survey)
 
-    p_rho = sub.add_parser("rho", help="root count of the quadratic mod k")
-    p_rho.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
+    p_rho = command("rho", "root count of the quadratic mod k", poly)
     p_rho.add_argument("--k", type=_positive_int, required=True)
-    p_rho.add_argument("--out", default="-")
+    p_rho.set_defaults(render=lambda args: _json_line(rho(args.poly, args.k)))
 
-    p_inv = sub.add_parser("invphi", help="all m with phi(m) = n")
+    p_inv = command("invphi", "all m with phi(m) = n")
     p_inv.add_argument("n", type=_positive_int)
-    p_inv.add_argument("--out", default="-")
+    p_inv.set_defaults(render=lambda args: _json_line(list(inverse_totient(args.n).preimages)))
 
-    p_bounds = sub.add_parser("bounds", help="solved exponent constants as JSON")
-    p_bounds.add_argument("--out", default="-")
+    command("bounds", "solved exponent constants as JSON").set_defaults(render=_bounds)
 
-    p_prod = sub.add_parser("products", help="split and twisted prime products")
+    p_prod = command("products", "split and twisted prime products")
     p_prod.add_argument("--d", type=_nonzero_int, required=True)
     p_prod.add_argument("--y", type=_product_y, required=True)
-    p_prod.add_argument("--out", default="-")
+    p_prod.set_defaults(render=_products)
 
-    p_probe = sub.add_parser(
-        "probe", help="density of n <= x with a prime p > T, p - 1 | P(n)"
-    )
-    p_probe.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
+    p_probe = command("probe", "density of n <= x with a prime p > T, p - 1 | P(n)", poly)
     p_probe.add_argument("--T", type=_finite_float, required=True)
     p_probe.add_argument("--x", type=_positive_int, required=True)
-    p_probe.add_argument("--out", default="-")
+    p_probe.set_defaults(render=_probe)
 
-    p_squares = sub.add_parser(
-        "squares", help="count n <= x with a square divisor of P(n) above bound"
-    )
-    p_squares.add_argument("--poly", type=_poly_arg, required=True, metavar="a,b,c")
+    p_squares = command("squares", "count n <= x with a square divisor of P(n) above bound", poly)
     p_squares.add_argument("--x", type=_positive_int, required=True)
     p_squares.add_argument("--bound", type=_positive_int, required=True)
-    p_squares.add_argument("--out", default="-")
+    p_squares.set_defaults(
+        render=lambda args: _json_line(square_divisor_count(args.poly, args.x, args.bound))
+    )
 
     return parser
 
@@ -229,7 +226,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             )
 
     try:
-        text = _render(args)
+        text = args.render(args)
     except (ValueError, OverflowError, ArithmeticError) as exc:
         return _fail(exc, 3)
     try:
@@ -244,47 +241,38 @@ def _fail(error: object, code: int) -> int:
     return code
 
 
-def _render(args: argparse.Namespace) -> str:
-    if args.command == "survey":  # main has resolved args.T
-        keep = args.records or args.format == "csv"
-        report = survey(args.poly, args.x, args.T, args.A, keep_records=keep)
-        if args.format == "csv":
-            return report.to_csv()
-        summary = report.summary_dict()
-        if args.records:
-            keys = CSV_HEADER.split(",")
-            summary["records"] = [dict(zip(keys, rec.row())) for rec in report.records]
-        return _json_line(summary, indent=2)
+def _survey(args: argparse.Namespace) -> str:  # main has resolved args.T
+    keep = args.records or args.format == "csv"
+    report = survey(args.poly, args.x, args.T, args.A, keep_records=keep)
+    if args.format == "csv":
+        return report.to_csv()
+    summary = report.summary_dict()
+    if args.records:
+        keys = CSV_HEADER.split(",")
+        summary["records"] = [dict(zip(keys, rec.row())) for rec in report.records]
+    return _json_line(summary, indent=2)
 
-    if args.command == "rho":
-        return _json_line(rho(args.poly, args.k))
 
-    if args.command == "invphi":
-        return _json_line(list(inverse_totient(args.n).preimages))
+def _bounds(args: argparse.Namespace) -> str:
+    summary = {key: float(f"{value:.12g}") for key, value in bounds_summary().items()}
+    return _json_line(summary, indent=2)
 
-    if args.command == "bounds":
-        summary = {key: _sig12(value) for key, value in bounds_summary().items()}
-        return _json_line(summary, indent=2)
 
-    if args.command == "products":
-        split, twisted = split_and_twisted(args.d, args.y)
-        result = {"d": args.d, "y": args.y, "split": split, "twisted": twisted}
-        return _json_line(result, indent=2)
+def _products(args: argparse.Namespace) -> str:
+    split, twisted = split_and_twisted(args.d, args.y)
+    result = {"d": args.d, "y": args.y, "split": split, "twisted": twisted}
+    return _json_line(result, indent=2)
 
-    if args.command == "probe":
-        frac = ew_density_probe(args.poly, args.T, args.x)
-        density = {
-            "count": int(frac * args.x),
-            "total": args.x,
-            "density": f"{frac.numerator}/{frac.denominator}",
-            "value": frac.numerator / frac.denominator,
-        }
-        return _json_line(density, indent=2)
 
-    if args.command == "squares":
-        return _json_line(square_divisor_count(args.poly, args.x, args.bound))
-
-    raise AssertionError(f"unhandled command {args.command}")
+def _probe(args: argparse.Namespace) -> str:
+    frac = ew_density_probe(args.poly, args.T, args.x)
+    density = {
+        "count": int(frac * args.x),
+        "total": args.x,
+        "density": f"{frac.numerator}/{frac.denominator}",
+        "value": frac.numerator / frac.denominator,
+    }
+    return _json_line(density, indent=2)
 
 
 def run() -> None:

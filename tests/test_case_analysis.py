@@ -289,8 +289,29 @@ def test_ew_density_probe():
     # T beyond every P(n): only d = P(n) itself could qualify, and no
     # P(n) + 1 here is a prime above the cutoff
     assert ew_density_probe(P, 200, 10) == Fraction(0)
+    # below 2 every n counts through p = 2; at 2 only the five even values do
+    for t_cut in (-1, 0, 1.999):
+        assert ew_density_probe(P, t_cut, 10) == Fraction(1)
+    assert ew_density_probe(P, 2, 10) == Fraction(1, 2)
+    # x^2 + x + 1 is always odd, so it counts only through p = 2
+    assert ew_density_probe(QuadPoly(1, 1, 1), 1.5, 10) == Fraction(1)
+    assert ew_density_probe(QuadPoly(1, 1, 1), 50, 10) == Fraction(0)
     with pytest.raises(ValueError):
         ew_density_probe(P, math.nan, 10)
+
+
+@pytest.mark.parametrize(
+    "poly, listed", [(P, 500), (QuadPoly(1, 1, 1), 0)], ids=["x^2+1", "x^2+x+1"]
+)
+def test_ew_density_probe_lists_divisors_of_even_values_only(monkeypatch, poly, listed):
+    # an odd value is rejected before its divisors are listed
+    calls = []
+    divisors = arith_core.Factorization.divisors
+    monkeypatch.setattr(
+        arith_core.Factorization, "divisors", lambda f: calls.append(f.value) or divisors(f)
+    )
+    ew_density_probe(poly, 50, 1000)
+    assert len(calls) == listed and all(value % 2 == 0 for value in calls)
 
 
 @settings(deadline=None)

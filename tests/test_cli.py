@@ -350,6 +350,45 @@ def test_out_file(tmp_path, capsys):
     assert target.read_text() == SURVEY_CSV
 
 
+# one short run of every subcommand
+COMMAND_RUNS = [
+    ["survey", "--poly", "1,0,1", "--x", "10", "--T", "5"],
+    ["rho", "--poly", "1,0,1", "--k", "65"],
+    ["invphi", "8"],
+    ["bounds"],
+    ["products", "--d", "5", "--y", "20"],
+    ["probe", "--poly", "1,0,1", "--T", "5", "--x", "10"],
+    ["squares", "--poly", "1,0,1", "--x", "10", "--bound", "4"],
+]
+
+
+def test_command_runs_cover_every_subcommand():
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(args[0] for args in COMMAND_RUNS) == sorted(subparsers.choices)
+
+
+@pytest.mark.parametrize("args", COMMAND_RUNS, ids=[args[0] for args in COMMAND_RUNS])
+def test_every_subcommand_writes_out_file(tmp_path, capsys, args):
+    # --out writes exactly the bytes the same command prints, and prints nothing
+    _, expected, _ = run_cli(args, capsys)
+    target = tmp_path / "out.txt"
+    assert run_cli([*args, "--out", str(target)], capsys) == (0, "", "")
+    assert expected and target.read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("name", [args[0] for args in COMMAND_RUNS])
+def test_every_subcommand_help_lists_out_once(capsys, name):
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    declared = [line for line in lines if line.strip().startswith("--out")]
+    assert len(declared) == 1 and "output path, '-' for stdout" in declared[0]
+
+
 def test_config_file_defaults_and_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# survey defaults\npoly=1,0,1\nx=10\nT=5\nA=0.76\nformat=json\n")
