@@ -3,116 +3,23 @@
 Exact arithmetic primitives, root counting for quadratic congruences,
 inverse-totient enumeration, the largest-prime case survey, and the
 numerical exponent lab, with a CLI front end (``quadtotient``).
+
+Each module declares its own public names in its ``__all__``; the package
+re-exports exactly those.
 """
 
-from .arith_core import (
-    Factorization,
-    big_omega_below,
-    euler_phi,
-    factorize,
-    is_prime,
-    is_square,
-    iter_primes,
-    kronecker,
-    primes_up_to,
-    sqrt_mod_prime,
-    squarefree_part,
-)
-from .bound_lab import (
-    ExponentSolution,
-    b_exponent,
-    bounds_summary,
-    crossover_eps,
-    crossover_inequality_holds,
-    holder_objective,
-    twisted_exception_scan,
-    excess_factor_exponent,
-    product_split,
-    product_twisted,
-    solve_balance_A,
-    split_and_twisted,
-    split_fraction,
-    v1_exponent,
-    v2_exponent,
-    v3_exponent,
-)
-from .case_analysis import (
-    Case,
-    CaseRecord,
-    CaseReport,
-    classify,
-    ew_density_probe,
-    square_divisor_count,
-    survey,
-    threshold_T,
-)
-from .quad_poly import (
-    QuadPoly,
-    factor_values,
-    prime_power_roots,
-    reduce_at_root,
-    rho,
-    rho_prime_power,
-    roots_mod,
-)
-from .totient_range import (
-    NontotientError,
-    PreimageSet,
-    inverse_totient,
-    is_totient,
-    p_max,
-    totients_up_to,
-)
+from .arith_core import *
+from .bound_lab import *
+from .case_analysis import *
+from .quad_poly import *
+from .totient_range import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Case",
-    "CaseRecord",
-    "CaseReport",
-    "ExponentSolution",
-    "Factorization",
-    "NontotientError",
-    "PreimageSet",
-    "QuadPoly",
-    "b_exponent",
-    "big_omega_below",
-    "bounds_summary",
-    "classify",
-    "crossover_eps",
-    "crossover_inequality_holds",
-    "euler_phi",
-    "ew_density_probe",
-    "factor_values",
-    "factorize",
-    "holder_objective",
-    "inverse_totient",
-    "is_prime",
-    "is_square",
-    "is_totient",
-    "iter_primes",
-    "kronecker",
-    "twisted_exception_scan",
-    "excess_factor_exponent",
-    "p_max",
-    "prime_power_roots",
-    "primes_up_to",
-    "product_split",
-    "product_twisted",
-    "reduce_at_root",
-    "rho",
-    "rho_prime_power",
-    "roots_mod",
-    "solve_balance_A",
-    "split_and_twisted",
-    "split_fraction",
-    "square_divisor_count",
-    "squarefree_part",
-    "sqrt_mod_prime",
-    "survey",
-    "threshold_T",
-    "totients_up_to",
-    "v1_exponent",
-    "v2_exponent",
-    "v3_exponent",
-]
+__all__ = (
+    arith_core.__all__
+    + bound_lab.__all__
+    + case_analysis.__all__
+    + quad_poly.__all__
+    + totient_range.__all__
+)

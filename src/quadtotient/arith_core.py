@@ -23,6 +23,20 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator
 
+__all__ = [
+    "Factorization",
+    "big_omega_below",
+    "euler_phi",
+    "factorize",
+    "is_prime",
+    "is_square",
+    "iter_primes",
+    "kronecker",
+    "primes_up_to",
+    "sqrt_mod_prime",
+    "squarefree_part",
+]
+
 INPUT_LIMIT = 1 << 63
 
 # The first 12 primes: the small-prime divisibility screen, and the

@@ -36,6 +36,25 @@ from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .arith_core import INPUT_LIMIT, factorize, is_square, iter_primes
 
+__all__ = [
+    "ExponentSolution",
+    "b_exponent",
+    "bounds_summary",
+    "crossover_eps",
+    "crossover_inequality_holds",
+    "excess_factor_exponent",
+    "holder_objective",
+    "product_split",
+    "product_twisted",
+    "solve_balance_A",
+    "split_and_twisted",
+    "split_fraction",
+    "twisted_exception_scan",
+    "v1_exponent",
+    "v2_exponent",
+    "v3_exponent",
+]
+
 _RESIDUAL_CEILING = 1e-12
 _EXACT_Y_LIMIT = 10 ** 4
 _FLOAT_Y_LIMIT = 10 ** 8
@@ -146,8 +165,6 @@ def solve_balance_A(tolerance: float = 1e-12) -> ExponentSolution:
 
 def crossover_inequality_holds(eps: float) -> bool:
     """Whether (1 + eps/2) log(1 + eps/2) - eps/2 < eps * log(2) / 4."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
     return excess_factor_exponent(eps / 2.0) < eps * math.log(2.0) / 4.0
 
 

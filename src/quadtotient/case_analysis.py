@@ -29,6 +29,17 @@ from .arith_core import Factorization, factorize, is_prime
 from .quad_poly import QuadPoly, _largest_value, factor_values
 from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime
 
+__all__ = [
+    "Case",
+    "CaseRecord",
+    "CaseReport",
+    "classify",
+    "ew_density_probe",
+    "square_divisor_count",
+    "survey",
+    "threshold_T",
+]
+
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
 _MIN_T = math.e  # loglog T must be positive
 

@@ -3,8 +3,10 @@
 Subcommands: survey, rho, invphi, bounds, products, probe, squares, each
 declared once with its renderer beside its flags.  Each writes a single
 JSON value or a CSV table to stdout, or to the file named by --out PATH,
-byte-identical across reruns with the same arguments.  A config file of
-key=value lines may supply defaults; explicit flags win.
+byte-identical across reruns with the same arguments.  Subcommand flags
+must be spelled in full.  A config file of key=value lines may supply
+defaults; explicit flags win.  A key the chosen subcommand does not take is
+skipped, and an unknown key is an error.
 
 Exit codes: 0 success, 2 invalid arguments or polynomial (an unreadable
 config file or an unwritable --out path included), 3 computation errors
@@ -106,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[*parents, out])
+        return sub.add_parser(name, help=help_text, parents=[*parents, out], allow_abbrev=False)
 
     p_survey = command("survey", "classify every n <= x and tally cases", poly)
     p_survey.add_argument("--x", type=_positive_int, required=True)
@@ -176,12 +178,8 @@ def _read_config(path: str) -> list[str]:
     return fragments
 
 
-def _resolve_t(args: argparse.Namespace) -> float:
-    if args.T == "auto":
-        if args.x > math.exp(math.e):
-            return max(T_FLOOR, threshold_T(args.x, args.A, args.delta))
-        return T_FLOOR
-    return args.T
+class _ArgumentError(ValueError):
+    """A renderer's argument check failed before any work: exit 2."""
 
 
 def _emit(text: str, out: str) -> None:
@@ -202,31 +200,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     # Read --config first, wherever it stands, and put its values right after
     # the subcommand, so that the flags the user typed after them win.
     config, argv = _config_parser().parse_known_args(argv)
+    fragments: list[str] = []
     if config.config is not None:
         try:
-            argv[1:1] = _read_config(config.config)
+            fragments = _read_config(config.config)
         except (OSError, ValueError) as exc:
             return _fail(exc, 2)
-    args = build_parser().parse_args(argv)
-
-    if args.command == "survey":
-        # the case split's rules are argument checks: fail them before any work
-        try:
-            args.T = _resolve_t(args)
-            _check_case_split(args.poly, args.T, args.A)
-        except ValueError as exc:
-            return _fail(exc, 2)
-        except OverflowError as exc:  # threshold_T of an astronomical x
-            return _fail(exc, 3)
-        if not args.allow_reducible and not args.poly.is_irreducible():
-            return _fail(
-                f"{args.poly.to_text()} is reducible (square discriminant "
-                f"{args.poly.discriminant()}); pass --allow-reducible to proceed",
-                2,
-            )
+        argv[1:1] = fragments
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    # skip the config values the subcommand does not take, one per fragment,
+    # so that a typed copy of a fragment is still refused
+    for fragment in fragments:
+        if fragment in extras:
+            extras.remove(fragment)
+    if extras:
+        parser.error("unrecognized arguments: " + " ".join(extras))
 
     try:
         text = args.render(args)
+    except _ArgumentError as exc:
+        return _fail(exc, 2)
     except (ValueError, OverflowError, ArithmeticError) as exc:
         return _fail(exc, 3)
     try:
@@ -241,9 +235,24 @@ def _fail(error: object, code: int) -> int:
     return code
 
 
-def _survey(args: argparse.Namespace) -> str:  # main has resolved args.T
+def _survey(args: argparse.Namespace) -> str:
+    # the case split's rules are argument checks: fail them before any work
+    try:
+        t_cut = args.T
+        if t_cut == "auto":  # threshold_T needs x > e^e; an OverflowError exits 3
+            t_cut = T_FLOOR
+            if args.x > math.exp(math.e):
+                t_cut = max(T_FLOOR, threshold_T(args.x, args.A, args.delta))
+        _check_case_split(args.poly, t_cut, args.A)
+    except ValueError as exc:
+        raise _ArgumentError(exc) from None
+    if not args.allow_reducible and not args.poly.is_irreducible():
+        raise _ArgumentError(
+            f"{args.poly.to_text()} is reducible (square discriminant "
+            f"{args.poly.discriminant()}); pass --allow-reducible to proceed"
+        )
     keep = args.records or args.format == "csv"
-    report = survey(args.poly, args.x, args.T, args.A, keep_records=keep)
+    report = survey(args.poly, args.x, t_cut, args.A, keep_records=keep)
     if args.format == "csv":
         return report.to_csv()
     summary = report.summary_dict()

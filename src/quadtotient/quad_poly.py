@@ -59,6 +59,16 @@ from .arith_core import (
     iter_primes,
 )
 
+__all__ = [
+    "QuadPoly",
+    "factor_values",
+    "prime_power_roots",
+    "reduce_at_root",
+    "rho",
+    "rho_prime_power",
+    "roots_mod",
+]
+
 COEF_LIMIT = 1 << 31
 
 # Lifting keeps every root of every prime-power modulus in memory; beyond

@@ -51,6 +51,15 @@ from typing import Iterator, Optional
 
 from .arith_core import Factorization, factorize, is_prime, primes_up_to
 
+__all__ = [
+    "NontotientError",
+    "PreimageSet",
+    "inverse_totient",
+    "is_totient",
+    "p_max",
+    "totients_up_to",
+]
+
 PREIMAGE_INPUT_LIMIT = 1 << 50
 SIEVE_INPUT_LIMIT = 10 ** 7
 

@@ -531,3 +531,38 @@ def test_non_finite_numbers_exit_2(capsys, args):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert not captured.out and "finite" in captured.err
+
+
+def test_config_keys_reach_only_the_subcommands_that_take_them(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("poly=1,0,1\nx=100\nT=50\n")
+    assert run_cli(["--config", str(cfg), "rho", "--k", "65"], capsys) == (0, "4\n", "")
+    assert run_cli(["--config", str(cfg), "bounds"], capsys) == run_cli(["bounds"], capsys)
+
+
+def test_config_key_is_not_read_as_a_prefix(tmp_path, capsys):
+    # d is a products flag; survey must not take it as an abbreviation of --delta
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("poly=1,0,1\nd=5\n")
+    expected = run_cli(["survey", "--poly=1,0,1", "--x", "100"], capsys)
+    assert expected[0] == 0
+    assert run_cli(["--config", str(cfg), "survey", "--x", "100"], capsys) == expected
+
+
+def test_flag_prefix_is_refused(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["survey", "--poly=1,0,1", "--x", "10", "--del", "0.1"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and "unrecognized arguments: --del 0.1" in captured.err
+
+
+def test_typed_copy_of_a_skipped_config_fragment_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("x=100\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "rho", "--poly=1,0,1", "--k", "65", "--x=100"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    # the file's own copy is skipped; the typed one is named, once
+    assert not captured.out and captured.err.endswith("unrecognized arguments: --x=100\n")
