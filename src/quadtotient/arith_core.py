@@ -19,9 +19,9 @@ All operations are pure functions; inputs above 2^63 are rejected.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import compress
-from typing import Iterator
 
 __all__ = [
     "Factorization",
@@ -57,16 +57,29 @@ def _check_limit(n: int, name: str = "n") -> None:
         raise ValueError(f"{name}={n} exceeds the supported range |{name}| <= 2^63")
 
 
-@dataclass(frozen=True)
-class Factorization:
+class _Record:
+    """Equality for the records, immutable named tuples (iterable and indexable):
+    a record equals only a record of its own type with equal fields, never a plain tuple."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__  # defining __eq__ clears it
+
+
+class Factorization(_Record, namedtuple("Factorization", "value factors")):
     """A positive integer together with its ordered prime factorization.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly
     increasing primes; ``value == 1`` iff ``factors`` is empty.
     """
 
-    value: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""

@@ -28,13 +28,12 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from operator import mul
-from typing import Callable, Iterable, Iterator, Optional, Union
 
-from .arith_core import INPUT_LIMIT, factorize, is_square, iter_primes
+from .arith_core import INPUT_LIMIT, _Record, factorize, is_square, iter_primes
 
 __all__ = [
     "ExponentSolution",
@@ -62,20 +61,16 @@ _TABLE_LIMIT = 1 << 17  # largest odd part m given an m-byte Jacobi table
 _BLOCK = 1 << 8  # odd primes per block of the walk
 _SCAN_WORK_LIMIT = 10 ** 8  # largest limit * y the exception scan accepts
 
-_Product = Union[float, Fraction]
 
-
-@dataclass(frozen=True)
-class ExponentSolution:
+class ExponentSolution(
+    _Record, namedtuple("ExponentSolution", "a_star common_exponent residual iterations")
+):
     """Balance point of the two middle-range exponents.
 
     residual = |v2_exponent(a_star) - v3_exponent(a_star)| <= 1e-12.
     """
 
-    a_star: float
-    common_exponent: float
-    residual: float
-    iterations: int
+    __slots__ = ()
 
 
 def v2_exponent(a_param: float) -> float:
@@ -230,8 +225,10 @@ def _blocks(y: float) -> Iterator[list[int]]:
 
 
 def _fold(
-    pairs: Iterable[tuple[int, int]], twisted: _Product, split: Optional[_Product] = None
-) -> tuple[Optional[_Product], _Product]:
+    pairs: Iterable[tuple[int, int]],
+    twisted: float | Fraction,
+    split: float | Fraction | None = None,
+) -> tuple[float | Fraction | None, float | Fraction]:
     """Multiply the factors of each (q, (d|q)), ascending, into twisted and split.
 
     The one walk behind both products and the exception scan.  Each
@@ -240,37 +237,43 @@ def _fold(
     product of one unbroken walk.  Fraction starts take exact factors;
     split=None leaves the split product out.
     """
-    exact = isinstance(twisted, Fraction)
+    exact = not isinstance(twisted, float)
     for q, chi in pairs:
         if chi:
-            twisted *= Fraction(q - chi, q) if exact else 1.0 - chi / q
+            twisted = twisted * (q - chi) / q if exact else twisted * (1.0 - chi / q)
             if chi == 1 and split is not None:
-                split *= Fraction(q - 2, q) if exact else 1.0 - 2.0 / q
+                split = split * (q - 2) / q if exact else split * (1.0 - 2.0 / q)
     return split, twisted
 
 
-def split_and_twisted(d: int, y: float, exact: bool = False) -> tuple[_Product, _Product]:
+def split_and_twisted(
+    d: int, y: float, exact: bool = False
+) -> tuple[float | Fraction, float | Fraction]:
     """(product_split(d, y), product_twisted(d, y)) from one walk over the primes <= y."""
     _check_product_args(d, y, exact)
     characters = _characters(d, y)
-    split = twisted = Fraction(1) if exact else 1.0
+    split = twisted = 1.0
+    if exact:
+        from fractions import Fraction  # not at module level: it loads decimal
+        split = twisted = Fraction(1)
     for block in _blocks(y):
         split, twisted = _fold(zip(block, characters(block)), twisted, split)
     return split, twisted
 
 
-def product_split(d: int, y: float, exact: bool = False) -> _Product:
+def product_split(d: int, y: float, exact: bool = False) -> float | Fraction:
     """prod (1 - 2/q) over odd primes q <= y with (d|q) = 1, ascending."""
     return split_and_twisted(d, y, exact)[0]
 
 
-def product_twisted(d: int, y: float, exact: bool = False) -> _Product:
+def product_twisted(d: int, y: float, exact: bool = False) -> float | Fraction:
     """prod (1 - (d|q)/q) over odd primes q <= y, ascending."""
     return split_and_twisted(d, y, exact)[1]
 
 
 def split_fraction(disc: int, a_coef: int, y: float) -> Fraction:
     """Fraction of odd primes q <= y, q not dividing 2aD, with (D|q) = 1."""
+    from fractions import Fraction  # not at module level: it loads decimal
     if disc == 0 or a_coef == 0:
         raise ValueError("D and a must be nonzero")
     if is_square(disc):
@@ -337,6 +340,7 @@ def twisted_exception_scan(limit: int, y: float) -> tuple[list[int], Fraction]:
     is most of the work: about 0.2-0.5 us a step, factoring the limit
     values included.  (10^4, 10^5) would be 58 million steps.
     """
+    from fractions import Fraction  # not at module level: it loads decimal
     if not 2 <= limit <= 10 ** 5:
         raise ValueError("limit must lie in [2, 10^5]")
     if not 3 <= y <= _FLOAT_Y_LIMIT:  # NaN fails here too

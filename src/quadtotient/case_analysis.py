@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from collections import namedtuple
 
-from .arith_core import Factorization, factorize, is_prime
+from .arith_core import Factorization, _Record, factorize, is_prime
 from .quad_poly import QuadPoly, _largest_value, factor_values
 from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime
 
@@ -54,15 +52,8 @@ class Case(enum.Enum):
     SMALL_P = "SmallP"
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    n: int
-    value: int
-    totient: bool
-    p_max: Optional[int]
-    v: Optional[int]
-    omega_T_pm1: Optional[int]
-    case: Case
+class CaseRecord(_Record, namedtuple("CaseRecord", "n value totient p_max v omega_T_pm1 case")):
+    __slots__ = ()
 
     def row(self) -> tuple:
         """The columns of ``CSV_HEADER``, in order."""
@@ -72,21 +63,13 @@ class CaseRecord:
         return ",".join("" if f is None else str(f) for f in self.row())
 
 
-@dataclass(frozen=True)
-class CaseReport:
+class CaseReport(
+    _Record,
+    namedtuple("CaseReport", "poly x T A v_p v1 v2 v3 smallp nontotient records", defaults=[None]),
+):
     """Aggregated survey: V_P = v1 + v2 + v3 + smallp and V_P + nontotient = x."""
 
-    poly: QuadPoly
-    x: int
-    T: float
-    A: float
-    v_p: int
-    v1: int
-    v2: int
-    v3: int
-    smallp: int
-    nontotient: int
-    records: Optional[tuple[CaseRecord, ...]] = None
+    __slots__ = ()
 
     def to_csv(self) -> str:
         if self.records is None:
@@ -142,7 +125,7 @@ def classify(
     x: int,
     t_cut: float,
     a_param: float,
-    factorization: Optional[Factorization] = None,
+    factorization: Factorization | None = None,
 ) -> CaseRecord:
     """Classify a single n <= x by the largest preimage prime of poly(n).
 
@@ -246,6 +229,7 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     An odd value is rejected before its divisors are listed; T < 2 counts
     every n through p = 2.
     """
+    from fractions import Fraction  # not at module level: it loads decimal
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
     if math.isnan(t_cut):

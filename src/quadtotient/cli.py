@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from typing import Callable, Optional
+from collections.abc import Callable
 
 from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import (
@@ -108,7 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name: str, help_text: str, *parents) -> argparse.ArgumentParser:
-        return sub.add_parser(name, help=help_text, parents=[*parents, out], allow_abbrev=False)
+        parser = sub.add_parser(name, help=help_text, parents=[*parents, out], allow_abbrev=False)
+        parser.set_defaults(error=parser.error)  # reports with this subcommand's usage
+        return parser
 
     p_survey = command("survey", "classify every n <= x and tally cases", poly)
     p_survey.add_argument("--x", type=_positive_int, required=True)
@@ -164,7 +166,8 @@ def _read_config(path: str) -> list[str]:
                 raise ValueError(f"config line is not key=value: {line!r}")
             key, _, value = line.partition("=")
             key = key.strip().lower().replace("_", "-")
-            value = value.strip()
+            # argparse reads a spaced --key=value it lacks as a positional; a path keeps spaces
+            value = value.strip() if key == "out" else "".join(value.split())
             if key not in _CONFIG_KEYS:
                 raise ValueError(f"unknown config key: {key!r}")
             flag = "--" + ("T" if key == "t" else "A" if key == "a" else key)
@@ -190,13 +193,13 @@ def _emit(text: str, out: str) -> None:
             handle.write(text)
 
 
-def _json_line(value, indent: Optional[int] = None) -> str:
+def _json_line(value, indent: int | None = None) -> str:
     if indent is None:
         return json.dumps(value, separators=(",", ":")) + "\n"
     return json.dumps(value, indent=indent) + "\n"
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     # Read --config first, wherever it stands, and put its values right after
     # the subcommand, so that the flags the user typed after them win.
     config, argv = _config_parser().parse_known_args(argv)
@@ -215,7 +218,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if fragment in extras:
             extras.remove(fragment)
     if extras:
-        parser.error("unrecognized arguments: " + " ".join(extras))
+        args.error("unrecognized arguments: " + " ".join(extras))
 
     try:
         text = args.render(args)

@@ -5,12 +5,12 @@ its roots modulo prime powers and general moduli, and builds the reduced
 quadratic obtained by following an arithmetic progression through a root.
 
 Roots and root counts modulo a prime power p^r come from one lift, which
-checks p^r and proves p prime once, takes out the content p^s at p once,
-and lifts the roots mod p of the rest level by level to p^(r - s), by a
-unique Hensel step where the derivative is a unit and a brute split at
-singular roots.  The count is p^s times theirs; the list expands each
-into p^s roots.  For p not dividing 2*a*D this gives 1 + (D|p) roots,
-0 or 2, at every level.
+checks p^r, takes out the content p^s at p once, and lifts the roots mod
+p of the rest level by level to p^(r - s), by a unique Hensel step where
+the derivative is a unit and a brute split at singular roots.  The count
+is p^s times theirs; the list expands each into p^s roots.  For p not
+dividing 2*a*D this gives 1 + (D|p) roots, 0 or 2, at every level.  p is
+proved prime once: by factorize in rho and roots_mod, else before the lift.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
@@ -45,12 +45,13 @@ lists of all primes up to B are kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from collections import namedtuple
+from collections.abc import Iterator
 
 from .arith_core import (
     INPUT_LIMIT,
     Factorization,
+    _Record,
     _factor_into,
     _tonelli_shanks,
     factorize,
@@ -84,23 +85,25 @@ _SEGMENT = 1024
 _SIEVE_REACH = 16
 
 
-@dataclass(frozen=True)
-class QuadPoly:
+class QuadPoly(_Record, namedtuple("QuadPoly", "a b c")):
     """a*x^2 + b*x + c with a != 0 and |a|, |b|, |c| <= 2^31."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.a == 0:
+    def __new__(cls, a: int, b: int, c: int) -> QuadPoly:
+        if a == 0:
             raise ValueError("leading coefficient must be nonzero")
-        for name, coef in (("a", self.a), ("b", self.b), ("c", self.c)):
+        for name, coef in (("a", a), ("b", b), ("c", c)):
             if abs(coef) > COEF_LIMIT:
                 raise ValueError(f"|{name}| exceeds the supported bound 2^31")
+        return super().__new__(cls, a, b, c)
 
     @classmethod
-    def parse(cls, text: str) -> "QuadPoly":
+    def _make(cls, fields) -> QuadPoly:
+        return cls(*fields)  # so that _replace validates too
+
+    @classmethod
+    def parse(cls, text: str) -> QuadPoly:
         """Build from the text form "a,b,c" (three comma-separated integers)."""
         parts = text.split(",")
         if len(parts) != 3:
@@ -152,14 +155,12 @@ def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
 
 
 def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
-    """Check p^r, take out the content p^s at p (s <= r) and lift: (s, roots).
+    """Check p^r for a proved prime p, take out the content p^s (s <= r), lift: (s, roots).
 
     roots are the roots of poly / p^s mod p^(r - s), unordered; [0] if s = r.
     """
     if r < 1:
         raise ValueError("exponent must be positive")
-    if not is_prime(p):
-        raise ValueError("modulus base must be prime")
     # p >= 2, so r >= 64 is out of range before the power is formed
     if r >= 64 or p ** r > INPUT_LIMIT:
         raise ValueError("prime power exceeds the supported range 2^63")
@@ -188,17 +189,19 @@ def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
     return s, roots
 
 
-def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
-    """All x in [0, p^r) with poly(x) = 0 (mod p^r), ascending.
-
-    With p^s the content at p, each root t of poly / p^s modulo p^(r - s)
-    stands for the p^s roots t + j * p^(r - s).
-    """
-    s, roots = _lift(poly, p, r)
+def _spread(p: int, r: int, s: int, roots: list[int]) -> list[int]:
+    """The roots mod p^r, ascending, from a lift (s, roots) of poly / p^s mod p^(r - s)."""
     scale, step = p ** s, p ** (r - s)
     if len(roots) * scale > _ROOT_SET_LIMIT:
         raise ValueError("root set too large to enumerate")
     return sorted(t + j * step for t in roots for j in range(scale))
+
+
+def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
+    """All x in [0, p^r) with poly(x) = 0 (mod p^r), ascending."""
+    if not is_prime(p):
+        raise ValueError("modulus base must be prime")
+    return _spread(p, r, *_lift(poly, p, r))
 
 
 def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
@@ -206,6 +209,8 @@ def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
 
     The content p^s at p multiplies the count; those roots are not listed.
     """
+    if not is_prime(p):
+        raise ValueError("modulus base must be prime")
     s, roots = _lift(poly, p, r)
     return p ** s * len(roots)
 
@@ -215,8 +220,9 @@ def rho(poly: QuadPoly, k: int) -> int:
     if k < 1:
         raise ValueError("modulus must be positive")
     out = 1
-    for p, e in factorize(k).factors:
-        out *= rho_prime_power(poly, p, e)
+    for p, e in factorize(k).factors:  # proved prime: lift at once
+        s, roots = _lift(poly, p, e)
+        out *= p ** s * len(roots)
         if out == 0:
             return 0
     return out
@@ -231,8 +237,8 @@ def roots_mod(poly: QuadPoly, v: int) -> list[int]:
     if v < 1:
         raise ValueError("modulus must be positive")
     parts = []
-    for p, e in factorize(v).factors:
-        rs = prime_power_roots(poly, p, e)
+    for p, e in factorize(v).factors:  # proved prime: lift at once
+        rs = _spread(p, e, *_lift(poly, p, e))
         if not rs:
             return []
         parts.append((p ** e, rs))

@@ -46,10 +46,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import namedtuple
+from collections.abc import Iterator
 
-from .arith_core import Factorization, factorize, is_prime, primes_up_to
+from .arith_core import Factorization, _Record, factorize, is_prime, primes_up_to
 
 __all__ = [
     "NontotientError",
@@ -68,17 +68,14 @@ class NontotientError(ValueError):
     """Raised when an operation requires a totient value and gets none."""
 
 
-@dataclass(frozen=True)
-class PreimageSet:
+class PreimageSet(_Record, namedtuple("PreimageSet", "n preimages p_max")):
     """The complete fiber {m : phi(m) = n} and its largest prime divisor.
 
     ``p_max`` is the largest prime dividing any listed preimage, 0 when
     the fiber is empty.
     """
 
-    n: int
-    preimages: tuple[int, ...]
-    p_max: int
+    __slots__ = ()
 
 
 class _FiberSearch:
@@ -161,7 +158,7 @@ def _check_fiber_arg(n: int, name: str) -> None:
         raise ValueError(f"{name} supports n <= 2^50")
 
 
-def _largest_preimage_prime(n: int, factorization: Optional[Factorization] = None) -> int:
+def _largest_preimage_prime(n: int, factorization: Factorization | None = None) -> int:
     """The largest prime of any m with phi(m) = n, 0 when n is a nontotient.
 
     One parity test rejects an odd n > 1.  ``factorization`` is that of n;

@@ -557,6 +557,34 @@ def test_flag_prefix_is_refused(capsys):
     assert not captured.out and "unrecognized arguments: --del 0.1" in captured.err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["survey", "--poly=1,0,1", "--x", "10", "--del", "0.1"],
+        ["rho", "--poly=1,0,1", "--k", "65", "extra"],
+    ],
+)
+def test_unrecognized_argument_reported_with_subcommand_usage(capsys, args):
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert not captured.out and captured.err.startswith(f"usage: quadtotient {args[0]} ")
+
+
+def test_config_value_with_spaces(tmp_path, capsys):
+    # invphi takes no --poly: the spaced value must still be skipped, not
+    # bound to its positional n
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "my report.json"
+    cfg.write_text(f"poly=1, 0, 1\nout={out}\n")
+    assert run_cli(["--config", str(cfg), "invphi", "8"], capsys) == (0, "", "")
+    assert out.read_text() == "[15,16,20,24,30]\n"  # a path keeps its spaces
+    cfg.write_text("poly=1, 0, 1\n")
+    assert run_cli(["--config", str(cfg), "invphi", "8"], capsys) == (0, "[15,16,20,24,30]\n", "")
+    assert run_cli(["--config", str(cfg), "rho", "--k", "65"], capsys) == (0, "4\n", "")
+
+
 def test_typed_copy_of_a_skipped_config_fragment_is_refused(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("x=100\n")

@@ -104,6 +104,27 @@ def test_prime_power_proves_its_prime_once(monkeypatch):
     assert calls == [5]
 
 
+def test_rho_and_roots_mod_prove_each_factored_prime_once(monkeypatch):
+    # factorize proves the large prime; the lift must not prove it again
+    calls = []
+    is_prime = arith_core.is_prime
+
+    def counted(n):
+        calls.append(n)
+        return is_prime(n)
+
+    for module in (arith_core, quad_poly):
+        monkeypatch.setattr(module, "is_prime", counted)
+    big = 2**31 - 1
+    assert rho(QuadPoly(1, 0, 1), big) == 0
+    assert calls == [big]
+    calls.clear()
+    assert roots_mod(QuadPoly(1, 0, 1), 5 * big) == []
+    assert calls.count(big) == 1
+    with pytest.raises(ValueError, match="modulus base must be prime"):
+        prime_power_roots(QuadPoly(1, 0, 1), 4, 1)
+
+
 def test_rho_prime_power_brute_battery():
     # every battery entry against exhaustive counting over all prime
     # powers p^r <= 10^5 with p <= 10^3; also records that the counts at
