@@ -186,7 +186,9 @@ def _check_product_args(d: int, y: float, exact: bool) -> None:
         raise ValueError("y exceeds the supported range 10^8")
 
 
-def _characters(d: int, y: float) -> Callable[[list[int]], array]:
+def _characters(
+    d: int, y: float, factors: Iterable[tuple[int, int]] | None = None
+) -> Callable[[list[int]], array]:
     """The column maker of a nonzero d: (d|q) for each odd prime q of a block.
 
     Write d = +-2^j m with m odd.  By Jacobi reciprocity and the two
@@ -196,6 +198,8 @@ def _characters(d: int, y: float) -> Callable[[list[int]], array]:
     from a table of (r|m), m bytes: the product of (r|p)^e over p^e || m,
     each tiled from p's table of squares.  Otherwise each q takes Euler's
     criterion d^((q-1)/2) mod q, valid for any d since q is prime.
+    ``factors``, the (p, e) of m when the caller already holds them,
+    spares factoring m for its table.
     """
     j = (d & -d).bit_length() - 1
     m = abs(d) >> j
@@ -208,7 +212,7 @@ def _characters(d: int, y: float) -> Callable[[list[int]], array]:
     if m > min(y, _TABLE_LIMIT):
         return lambda block: array("b", [(pow(d, q >> 1, q) + 1) % q - 1 for q in block])
     jacobi = array("b", [1]) * m  # (r|m) at r
-    for p, e in factorize(m).factors:
+    for p, e in factorize(m).factors if factors is None else factors:
         power = array("b", [-1 if e % 2 else 1]) * p  # (r|p)^e at r
         power[0] = 0
         for i in range(1, p // 2 + 1):
@@ -312,7 +316,12 @@ def _twisted_by_core(limit: int, y: float) -> tuple[list[int], dict[int, float]]
         core_of.append(core)
         least.setdefault(core, odd[0] if len(odd) > 1 else 1)
     products = dict.fromkeys(least, 1.0)
-    makers = {core: _characters(core, y) for core, p in least.items() if p == 1}
+    # a core with no least prime is 1, 2 or an odd prime, whose odd part is 1 or itself
+    makers = {
+        core: _characters(core, y, ((core, 1),) if core > 2 else ())
+        for core, p in least.items()
+        if p == 1
+    }
     for block in _blocks(y):
         columns: dict[int, array] = {}  # core -> its characters at the block, as signed bytes
         for core, p in least.items():  # a core is met first at d = core, after both its factors

@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_inv = command("invphi", "all m with phi(m) = n")
     p_inv.add_argument("n", type=_positive_int)
-    p_inv.set_defaults(render=lambda args: _json_line(list(inverse_totient(args.n).preimages)))
+    p_inv.set_defaults(render=lambda args: _json_line(inverse_totient(args.n).preimages))
 
     command("bounds", "solved exponent constants as JSON").set_defaults(render=_bounds)
 

@@ -29,10 +29,16 @@ any preimage of n is the first odd prime p, in descending order, that
 ends a preimage of n in this way (2 when n is a power of two and no odd
 prime does).  ``inverse_totient`` lists the whole fiber by assembling
 prime powers in descending order and closing each branch with the unique
-power of two whose phi equals whatever is left.  It walks only the primes
-p with p - 1 dividing what is left and enters a branch only when the
-table shows it closes, so every branch it enters yields a preimage.  The
-enumeration is complete and needs no search bound.
+power of two whose phi equals whatever is left.  Many branches leave the
+same rest r, so the walk expands each r once, into its row of a branch
+table.  With the divisors d of n for which d + 1 is prime listed in
+ascending order, the row of r holds (i, p^(k+1), r / ((p - 1) p^k)) for
+each i-th listed d = p - 1 that divides r and each k at which that rest
+has a table entry below p, ascending in i, as three parallel integer
+arrays.  A node whose primes must stay below the i-th listed one takes
+the entries of its rest's row before i, found by one bisection, so every
+branch it enters yields a preimage.  The enumeration is complete and
+needs no search bound.
 
 ``totients_up_to`` counts distinct totient values <= x by marking them
 directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
@@ -45,7 +51,8 @@ bitmap.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from array import array
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 
@@ -143,6 +150,34 @@ class _FiberSearch:
             rest //= p
             power *= p
 
+    def branches(self, r: int) -> tuple[array, array, array]:
+        """The branch table row of r | n, as parallel arrays of i, p^(k+1) and
+        r / ((p - 1) p^k), ascending in i: one entry for each listed
+        d = listed[i] = p - 1 dividing r and each k >= 0 at which that rest
+        has a preimage over primes below p; needs listed().
+
+        The closing test of ``closings``, inline, with the table read
+        directly and ``least_top`` called only for a rest not yet in it.
+        """
+        indices, powers, rests = array("q"), array("q"), array("q")
+        known = self._least_top
+        for i in range(bisect_right(self._divisors, r)):
+            d = self._divisors[i]
+            if r % d == 0:
+                p = d + 1
+                rest, power = r // d, p
+                while True:
+                    top = known.get(rest)
+                    if (self.least_top(rest) if top is None else top) < p:
+                        indices.append(i)
+                        powers.append(power)
+                        rests.append(rest)
+                    if rest % p:
+                        break
+                    rest //= p
+                    power *= p
+        return indices, powers, rests
+
     def largest_prime(self) -> int:
         """The largest prime of any preimage of n, 0 when there is none."""
         for d in reversed(self._divisors):
@@ -187,29 +222,42 @@ def inverse_totient(n: int) -> PreimageSet:
     if n % 2 and n > 1:
         return PreimageSet(n, (), 0)
 
-    search = _FiberSearch(factorize(n))
-    listed = search.listed()
-    found: list[int] = []
+    found, top = _fiber(n)
+    found.sort()
+    return PreimageSet(n, tuple(found), top)
 
-    def assemble(stop: int, remaining: int, acc: int) -> None:
-        # d + 1 for d in listed[:stop] lie below every prime already placed in acc
-        if remaining == 1:
+
+def _fiber(n: int) -> tuple[list[int], int]:
+    """The preimages of an n = 1 or even n, unsorted, and their largest prime.
+
+    A node (stop, r, acc) has placed the prime powers of acc and has r
+    left, to fill with primes p = listed[i] + 1 for i < stop.  Its
+    children are the entries of r's branch table row before stop.  The
+    nodes wait on a list rather than in a recursive closure, which would
+    hold a reference cycle, so reference counting frees the table and the
+    search as soon as the walk returns.
+    """
+    search = _FiberSearch(factorize(n))
+    rows: dict[int, tuple[array, array, array]] = {}
+    found: list[int] = []
+    nodes = [(len(search.listed()), n, 1)]
+    while nodes:
+        stop, r, acc = nodes.pop()
+        if r == 1:
             # odd part complete: m = acc or 2*acc
             found.append(acc)
             found.append(2 * acc)
-            return
-        if remaining & (remaining - 1) == 0:
-            # remaining = 2^j: close with the factor 2^(j+1)
-            found.append(acc * 2 * remaining)
-        for i in reversed(range(min(stop, bisect_right(listed, remaining)))):
-            d = listed[i]
-            if remaining % d == 0:
-                for power, rest in search.closings(remaining, d + 1):
-                    assemble(i, rest, acc * power)
-
-    assemble(len(listed), n, 1)
-    found.sort()
-    return PreimageSet(n, tuple(found), search.largest_prime())
+            continue
+        if r & (r - 1) == 0:
+            # r = 2^j: close with the factor 2^(j+1)
+            found.append(acc * 2 * r)
+        row = rows.get(r)
+        if row is None:
+            row = rows[r] = search.branches(r)
+        indices, powers, rests = row
+        for j in range(bisect_left(indices, stop)):
+            nodes.append((indices[j], rests[j], acc * powers[j]))
+    return found, search.largest_prime()
 
 
 def is_totient(n: int) -> bool:

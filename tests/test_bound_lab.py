@@ -16,6 +16,7 @@ from quadtotient import (
     kronecker,
     twisted_exception_scan,
     excess_factor_exponent,
+    factorize,
     product_split,
     product_twisted,
     solve_balance_A,
@@ -377,6 +378,20 @@ def test_twisted_exception_scan_makes_no_kronecker_call(monkeypatch):
     split_fraction(5, 1, 10**4)
     split_fraction(10**9 + 7, 1, 10**4)
     assert not calls
+
+
+def test_twisted_exception_scan_factors_each_d_once(monkeypatch):
+    # the table of a prime part is built from the factorization the scan
+    # already made of it as a d value
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(bound_lab, "factorize", counted)
+    twisted_exception_scan(600, 10**4)
+    assert sorted(calls) == list(range(2, 601))
 
 
 @settings(deadline=None)

@@ -1,5 +1,9 @@
 import functools
+import gc
+import hashlib
 import math
+import tracemalloc
+from bisect import bisect_right
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from quadtotient import (
     NontotientError,
+    PreimageSet,
     euler_phi,
     factorize,
     inverse_totient,
@@ -271,6 +276,80 @@ def test_large_fibers_pinned():
     assert len(inverse_totient(41902660800).preimages) == 61299
     assert p_max(41902660800) == 1745944201
     assert p_max(963761198400) == 96376119841
+
+
+def _assembled(n):
+    """inverse_totient by the walk it used before the branch table: every node
+    tests each listed d below its bound against what is left, and closes each
+    d that divides through ``closings``."""
+    if n % 2 and n > 1:
+        return PreimageSet(n, (), 0)
+    search = _FiberSearch(factorize(n))
+    listed = search.listed()
+    found = []
+
+    def assemble(stop, remaining, acc):
+        # d + 1 for d in listed[:stop] lie below every prime already placed in acc
+        if remaining == 1:
+            found.append(acc)
+            found.append(2 * acc)
+            return
+        if remaining & (remaining - 1) == 0:
+            found.append(acc * 2 * remaining)
+        for i in reversed(range(min(stop, bisect_right(listed, remaining)))):
+            d = listed[i]
+            if remaining % d == 0:
+                for power, rest in search.closings(remaining, d + 1):
+                    assemble(i, rest, acc * power)
+
+    assemble(len(listed), n, 1)
+    found.sort()
+    return PreimageSet(n, tuple(found), search.largest_prime())
+
+
+_SMOOTH_EVEN_UP_TO_1E12 = st.tuples(
+    st.integers(min_value=1, max_value=39),
+    st.lists(st.sampled_from(_SMALL_PRIMES), max_size=8),
+).map(lambda t: (1 << t[0]) * math.prod(t[1])).filter(lambda n: n <= 10**12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_SMOOTH_EVEN_UP_TO_1E12)
+@example(2 * 3**20)
+@example(1 << 39)
+def test_branch_table_matches_assembled_walk(n):
+    assert inverse_totient(n) == _assembled(n)
+
+
+def test_largest_fiber_pinned():
+    # length and digest as listed by the per-node scan, before the branch table
+    fiber = inverse_totient(963761198400).preimages
+    assert len(fiber) == 177994
+    digest = hashlib.sha256(",".join(map(str, fiber)).encode()).hexdigest()
+    assert digest == "a4d2f1ae8d4638c0cec659d76f26fd52748d52f35038469f56d95bfddababa0c"
+
+
+@pytest.mark.parametrize("n", [10080, 41902660800])
+def test_fiber_listing_leaves_no_garbage_cycle(n):
+    # the walk and its table are freed by reference counting alone
+    gc.collect()
+    gc.disable()
+    try:
+        inverse_totient(n)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_fiber_listing_memory_stays_bounded():
+    # the 61,299 preimages take about 2.4 MB; the table and the search, about 1.6 MB more
+    tracemalloc.start()
+    try:
+        inverse_totient(41902660800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 10**6
 
 
 def test_density_ratio_non_increasing_small():
