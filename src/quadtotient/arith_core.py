@@ -1,9 +1,7 @@
 """Exact integer arithmetic primitives.
 
 Primality, factorization, prime generation, Euler's phi, the Kronecker
-symbol, modular square roots, squarefree parts and prime-factor counting.
-Square roots tell residues from nonresidues by Euler's criterion, one
-modular power, and make no Kronecker call.
+symbol, squarefree parts and prime-factor counting.
 Everything is deterministic: primality is a Miller-Rabin test whose prime
 witnesses are chosen by the size of n, from the minimal sets proved
 complete by Jaeschke (Math. Comp. 61, 1993) and Sorenson and Webster
@@ -33,7 +31,6 @@ __all__ = [
     "iter_primes",
     "kronecker",
     "primes_up_to",
-    "sqrt_mod_prime",
     "squarefree_part",
 ]
 
@@ -275,48 +272,6 @@ def kronecker(d: int, n: int) -> int:
             result = -result
         d %= n
     return result if n == 1 else 0
-
-
-def sqrt_mod_prime(a: int, p: int) -> set[int]:
-    """All x in [0, p) with x^2 = a (mod p), for an odd prime p.
-
-    Empty iff a is a nonresidue; {0} iff p divides a; two roots otherwise.
-    """
-    if p == 2 or not is_prime(p):
-        raise ValueError("sqrt_mod_prime expects an odd prime modulus")
-    return _tonelli_shanks(a, p)
-
-
-def _tonelli_shanks(a: int, p: int) -> set[int]:
-    """sqrt_mod_prime without its guard, for a modulus known to be an odd prime."""
-    a %= p
-    if a == 0:
-        return {0}
-    if pow(a, p >> 1, p) != 1:  # Euler's criterion
-        return set()
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
-    if t != 1:  # else r is a root already, as always for p = 3 (mod 4)
-        z = 2
-        while pow(z, p >> 1, p) != p - 1:
-            z += 1
-        c = pow(z, q, p)
-        m = s
-        while t != 1:
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            r = r * b % p
-            c = b * b % p
-            t = t * c % p
-            m = i
-    return {r, p - r}
 
 
 def squarefree_part(k: int) -> int:

@@ -9,12 +9,12 @@ to CSV (one row per n) or a JSON summary.
 
 The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
 factor each value once, by the root sieve ``quad_poly.factor_values``,
-and trial-divide none.  ``survey`` rejects odd values above 1 unfactored,
-so it sieves only the n whose value is even, read off n mod 2 after P(1)
-and P(2), and ``classify`` makes the only evaluation of each P(n).
-``ew_density_probe`` rejects odd values before listing their divisors:
-an odd value has only odd divisors d, and d + 1 is an odd prime only for
-even d, so it counts only through p = 2, that is exactly when T < 2.
+and trial-divide none.  ``survey`` and ``ew_density_probe`` sieve only
+the n whose value is even, read off n mod 2 after P(1) and P(2).  Odd
+values above 1 are nontotients, and ``classify`` makes the only
+evaluation of each P(n).  An odd value has only odd divisors d, and d + 1
+is an odd prime only for even d, so the probe counts it only through
+p = 2, that is exactly when T < 2, when every n counts.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 
 from .arith_core import Factorization, _Record, factorize, is_prime
 from .quad_poly import QuadPoly, _largest_value, factor_values
@@ -170,6 +171,16 @@ def classify(
     return CaseRecord(n, value, True, pm, cofactor, omega, case)
 
 
+def _even_values(poly: QuadPoly, x: int) -> tuple[list[int], Iterator[Factorization]]:
+    """The n in (1, 2) with poly(n) even, and the factorizations of the even poly(n), n <= x.
+
+    P(n) mod 2 follows n mod 2: the even values sit at every n, at one
+    residue class mod 2, or nowhere; n shares its class with 2 - n % 2.
+    """
+    even = [n for n in (1, 2) if poly(n) % 2 == 0]
+    return even, factor_values(poly, x, even[0], 3 - len(even)) if even else iter(())
+
+
 def survey(
     poly: QuadPoly,
     x: int,
@@ -189,10 +200,7 @@ def survey(
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
     records: list[CaseRecord] = []
-    # P(n) mod 2 follows n mod 2: the even values sit at every n, at one
-    # residue class mod 2, or nowhere; n shares its class with 2 - n % 2
-    even = [n for n in (1, 2) if poly(n) % 2 == 0]
-    sieve = factor_values(poly, x, even[0], 3 - len(even)) if even else iter(())
+    even, sieve = _even_values(poly, x)
     for n in range(1, x + 1):
         factorization = next(sieve) if 2 - n % 2 in even else None
         record = classify(poly, n, x, t_cut, a_param, factorization)
@@ -226,20 +234,21 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
 def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     """Fraction of n <= x admitting a prime p > T with (p - 1) | poly(n).
 
-    An odd value is rejected before its divisors are listed; T < 2 counts
-    every n through p = 2.
+    Only the even values are factored; T < 2 counts every n through p = 2
+    and factors none.  Every poly(1), ..., poly(x) must lie in [1, 2^63].
     """
     from fractions import Fraction  # not at module level: it loads decimal
     if x < 1:
         raise ValueError("ew_density_probe requires x >= 1")
     if math.isnan(t_cut):
         raise ValueError("T must be a number, got NaN")
-    count = 0
-    for factorization in factor_values(poly, x):
-        # p - 1 is even for an odd prime p, so an odd value counts only
-        # through p = 2, which clears the cutoff exactly when T < 2
-        if t_cut < 2 or factorization.value % 2 == 0 and any(
-            d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors()
-        ):
-            count += 1
+    _largest_value(poly, x)  # the range check, made before any answer
+    # p - 1 is even for an odd prime p, so an odd value counts only through
+    # p = 2, which clears the cutoff exactly when T < 2, for every value
+    if t_cut < 2:
+        return Fraction(1)
+    count = sum(
+        any(d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors())
+        for factorization in _even_values(poly, x)[1]
+    )
     return Fraction(count, x)

@@ -242,10 +242,9 @@ def _survey(args: argparse.Namespace) -> str:
     # the case split's rules are argument checks: fail them before any work
     try:
         t_cut = args.T
-        if t_cut == "auto":  # threshold_T needs x > e^e; an OverflowError exits 3
-            t_cut = T_FLOOR
-            if args.x > math.exp(math.e):
-                t_cut = max(T_FLOOR, threshold_T(args.x, args.A, args.delta))
+        if t_cut == "auto":  # threshold_T checks A and delta; an OverflowError exits 3
+            scale = threshold_T(max(args.x, 16), args.A, args.delta)  # it needs x > e^e
+            t_cut = max(T_FLOOR, scale) if args.x >= 16 else T_FLOOR
         _check_case_split(args.poly, t_cut, args.A)
     except ValueError as exc:
         raise _ArgumentError(exc) from None

@@ -1,8 +1,7 @@
 """Integer quadratics and their congruence structure.
 
 A quadratic a*x^2 + b*x + c is held exactly; the module counts and lists
-its roots modulo prime powers and general moduli, and builds the reduced
-quadratic obtained by following an arithmetic progression through a root.
+its roots modulo prime powers and general moduli.
 
 Roots and root counts modulo a prime power p^r come from one lift, which
 checks p^r, takes out the content p^s at p once, and lifts the roots mod
@@ -53,7 +52,6 @@ from .arith_core import (
     Factorization,
     _Record,
     _factor_into,
-    _tonelli_shanks,
     factorize,
     is_prime,
     is_square,
@@ -64,9 +62,7 @@ __all__ = [
     "QuadPoly",
     "factor_values",
     "prime_power_roots",
-    "reduce_at_root",
     "rho",
-    "rho_prime_power",
     "roots_mod",
 ]
 
@@ -139,6 +135,43 @@ def _raw(poly: QuadPoly, n: int) -> int:
     return (poly.a * n + poly.b) * n + poly.c
 
 
+def _tonelli_shanks(a: int, p: int) -> set[int]:
+    """All x in [0, p) with x^2 = a (mod p), for a modulus known to be an odd prime.
+
+    Empty iff a is a nonresidue; {0} iff p divides a; two roots otherwise.
+    Residues are told by Euler's criterion, one modular power, with no
+    Kronecker call.
+    """
+    a %= p
+    if a == 0:
+        return {0}
+    if pow(a, p >> 1, p) != 1:  # Euler's criterion
+        return set()
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    r = pow(a, (q + 1) // 2, p)
+    t = pow(a, q, p)
+    if t != 1:  # else r is a root already, as always for p = 3 (mod 4)
+        z = 2
+        while pow(z, p >> 1, p) != p - 1:
+            z += 1
+        c = pow(z, q, p)
+        m = s
+        while t != 1:
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            r = r * b % p
+            c = b * b % p
+            t = t * c % p
+            m = i
+    return {r, p - r}
+
+
 def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
     """Roots of poly mod p, for a prime p not dividing all coefficients."""
     if p == 2:
@@ -204,17 +237,6 @@ def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
     return _spread(p, r, *_lift(poly, p, r))
 
 
-def rho_prime_power(poly: QuadPoly, p: int, r: int) -> int:
-    """Number of roots of poly modulo p^r, by exact lifting.
-
-    The content p^s at p multiplies the count; those roots are not listed.
-    """
-    if not is_prime(p):
-        raise ValueError("modulus base must be prime")
-    s, roots = _lift(poly, p, r)
-    return p ** s * len(roots)
-
-
 def rho(poly: QuadPoly, k: int) -> int:
     """Root count of poly modulo k; multiplicative in k, with rho(1) = 1."""
     if k < 1:
@@ -251,21 +273,6 @@ def roots_mod(poly: QuadPoly, v: int) -> list[int]:
             raise ValueError("root set too large to enumerate")
         mod *= pe
     return sorted(combined)
-
-
-def reduce_at_root(poly: QuadPoly, v: int, t: int) -> QuadPoly:
-    """The quadratic in u tracing poly(u*v + t)/v + 1 along n = u*v + t.
-
-    Requires v | poly(t).  The result is
-    (a*v) u^2 + (2*a*t + b) u + (poly(t)/v + 1), whose discriminant is
-    D - 4*a*v.
-    """
-    if v < 1:
-        raise ValueError("v must be positive")
-    value = _raw(poly, t)
-    if value % v != 0:
-        raise ValueError(f"v={v} does not divide the value at t={t}")
-    return QuadPoly(poly.a * v, 2 * poly.a * t + poly.b, value // v + 1)
 
 
 def _largest_value(poly: QuadPoly, x: int) -> int:

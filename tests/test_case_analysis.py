@@ -301,17 +301,44 @@ def test_ew_density_probe():
 
 
 @pytest.mark.parametrize(
-    "poly, listed", [(P, 500), (QuadPoly(1, 1, 1), 0)], ids=["x^2+1", "x^2+x+1"]
+    "poly, listed",
+    [(P, 500), (QuadPoly(1, 1, 1), 0), (QuadPoly(1, 1, 2), 1000)],
+    ids=["x^2+1", "x^2+x+1", "x^2+x+2"],
 )
 def test_ew_density_probe_lists_divisors_of_even_values_only(monkeypatch, poly, listed):
-    # an odd value is rejected before its divisors are listed
-    calls = []
+    # with T >= 2 an odd value cannot count: it is neither factored nor
+    # has its divisors listed
+    calls, values = [], []
     divisors = arith_core.Factorization.divisors
     monkeypatch.setattr(
         arith_core.Factorization, "divisors", lambda f: calls.append(f.value) or divisors(f)
     )
+    sieve = case_analysis.factor_values
+
+    def counted(*args):
+        for factorization in sieve(*args):
+            values.append(factorization.value)
+            yield factorization
+
+    monkeypatch.setattr(case_analysis, "factor_values", counted)
     ew_density_probe(poly, 50, 1000)
     assert len(calls) == listed and all(value % 2 == 0 for value in calls)
+    assert values == calls
+
+
+def test_ew_density_probe_below_2_factors_nothing(monkeypatch):
+    # every n counts through p = 2, but the values are still range-checked
+    calls = []
+    monkeypatch.setattr(case_analysis, "factor_values", lambda *args: calls.append(args))
+    monkeypatch.setattr(quad_poly, "_root_sieve", lambda *args: calls.append(args))
+    for t_cut in (-1, 0, 1.0, 1.999):
+        assert ew_density_probe(P, t_cut, 10**6) == Fraction(1)
+    assert not calls
+    with pytest.raises(ValueError, match="n=1 is 0"):
+        ew_density_probe(QuadPoly(1, 0, -1), 1.0, 5)
+    with pytest.raises(OverflowError):
+        ew_density_probe(P, 1.0, 2**32)  # P(2^32) = 2^64 + 1
+    assert not calls
 
 
 @settings(deadline=None)

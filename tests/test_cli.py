@@ -139,6 +139,13 @@ def test_survey_fixed_t_takes_any_a(capsys):
             ["survey", "--poly", "1,0,1", "--x", "100", "--T", "auto", "--delta", "5"],
             "delta must lie in [0, 1]",
         ),
+        # --T auto is the default; threshold_T checks A and delta below x = e^e too
+        (None, ["survey", "--poly", "1,0,1", "--x", "10", "--A", "0.3"], "A must lie in (1/2, 1)"),
+        (
+            None,
+            ["survey", "--poly", "1,0,1", "--x", "10", "--delta", "2"],
+            "delta must lie in [0, 1]",
+        ),
         (None, ["survey", "--poly", "1,0,1", "--x", "0"], "must be a positive integer"),
         (None, ["invphi", "0"], "must be a positive integer"),
         ("poly 1,0,1\n", ["rho", "--k", "65"], "config line is not key=value"),
@@ -156,7 +163,7 @@ def test_survey_fixed_t_takes_any_a(capsys):
         ),
         (None, ["invphi", "0x10"], "argument n: expected an integer"),
     ],
-    ids=["T<=e", "auto A", "auto delta", "x=0", "invphi 0", "config no =", "config bool",
+    ids=["T<=e", "auto A", "auto delta", "auto A x<e^e", "auto delta x<e^e", "x=0", "invphi 0", "config no =", "config bool",
          "products d=0", "products y=2", "products y<0", "products config d=0",
          "survey x=1e3", "products d=2.5", "squares bound=1.5", "invphi 0x10"],
 )

@@ -12,11 +12,8 @@ from quadtotient import (
     kronecker,
     prime_power_roots,
     primes_up_to,
-    reduce_at_root,
     rho,
-    rho_prime_power,
     roots_mod,
-    sqrt_mod_prime,
 )
 
 # Coefficient battery: content > 1, p | a, p | D, square and zero
@@ -78,14 +75,14 @@ def test_eval():
 
 def test_rho_prime_power_examples():
     poly = QuadPoly(1, 0, 1)
-    assert rho_prime_power(poly, 5, 1) == 2
-    assert rho_prime_power(poly, 3, 1) == 0
-    assert rho_prime_power(poly, 5, 2) == 2
-    assert rho_prime_power(poly, 2, 1) == 1
+    assert rho(poly, 5) == 2
+    assert rho(poly, 3) == 0
+    assert rho(poly, 5**2) == 2
+    assert rho(poly, 2) == 1
     # the count passes the listing limit that prime_power_roots enforces
     # (the "content root set" case of test_argument_guards)
     big = 2**31 - 1
-    assert rho_prime_power(QuadPoly(big, 0, big), big, 1) == big
+    assert rho(QuadPoly(big, 0, big), big) == big
 
 
 def test_prime_power_proves_its_prime_once(monkeypatch):
@@ -97,9 +94,6 @@ def test_prime_power_proves_its_prime_once(monkeypatch):
 
     monkeypatch.setattr(quad_poly, "is_prime", counted)
     poly = QuadPoly(10, 0, 10)  # content 5 at p = 5
-    assert rho_prime_power(poly, 5, 3) == 10
-    assert calls == [5]
-    calls.clear()
     assert len(prime_power_roots(poly, 5, 3)) == 10
     assert calls == [5]
 
@@ -142,7 +136,7 @@ def test_rho_prime_power_brute_battery():
         content = math.gcd(math.gcd(abs(poly.a), abs(poly.b)), abs(poly.c))
         bounded_max = 0
         for p, r, pr in moduli:
-            got = rho_prime_power(poly, p, r)
+            got = rho(poly, pr)
             assert got == sum(vals[x] % pr == 0 for x in range(pr)), (coeffs, p, r)
             if poly.is_irreducible() and content % p != 0:
                 bounded_max = max(bounded_max, got)
@@ -179,19 +173,19 @@ def test_rho_examples():
 
 
 def test_hensel_stability():
-    # p not dividing 2aD: the count mod p^r never moves, and rho_prime_power
-    # agrees with the length of the lifted root list
+    # p not dividing 2aD: the count mod p^r never moves, and rho agrees
+    # with the length of the lifted root list
     for coeffs in [(1, 0, 1), (1, 1, -1), (3, 2, 5), (1, 1, 41)]:
         poly = QuadPoly(*coeffs)
         disc = poly.discriminant()
         for p in primes_up_to(50):
             if (2 * poly.a * disc) % p == 0:
                 continue
-            base = rho_prime_power(poly, p, 1)
+            base = rho(poly, p)
             assert base in (0, 2)
             r = 2
             while p**r <= 10**6:
-                assert rho_prime_power(poly, p, r) == base
+                assert rho(poly, p**r) == base
                 assert len(prime_power_roots(poly, p, r)) == base
                 r += 1
 
@@ -225,20 +219,6 @@ def test_roots_mod_matches_brute():
             assert len(got) == rho(poly, v)
 
 
-def test_reduce_at_root_examples():
-    poly = QuadPoly(1, 0, 1)
-    r5 = reduce_at_root(poly, 5, 2)
-    assert (r5.a, r5.b, r5.c) == (5, 4, 2)
-    assert r5(1) == poly(7) // 5 + 1 == 11
-    r1 = reduce_at_root(poly, 1, 0)
-    assert (r1.a, r1.b, r1.c) == (1, 0, 2)
-    r53 = reduce_at_root(poly, 5, 3)
-    assert (r53.a, r53.b, r53.c) == (5, 6, 3)
-    assert r53.discriminant() == -24 == poly.discriminant() - 4 * poly.a * 5
-    with pytest.raises(ValueError):
-        reduce_at_root(poly, 5, 1)  # 5 does not divide P(1) = 2
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -251,26 +231,13 @@ def test_reduce_at_root_examples():
         (lambda: prime_power_roots(QuadPoly(2**31 - 1, 0, 2**31 - 1), 2**31 - 1, 1), "too large"),
         (lambda: rho(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
         (lambda: roots_mod(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
-        (lambda: reduce_at_root(QuadPoly(1, 0, 1), 0, 0), "v must be positive"),
     ],
     ids=["r<1", "composite p", "p^r>2^63", "r=10^9", "content root set", "rho k<1",
-         "roots_mod v<1", "reduce_at_root v<1"],
+         "roots_mod v<1"],
 )
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
-
-
-def test_reduce_at_root_progression_identity():
-    for coeffs in [(1, 0, 1), (1, 1, -1), (2, 0, 1), (1, 2, 3)]:
-        poly = QuadPoly(*coeffs)
-        disc = poly.discriminant()
-        for v in [1, 2, 5, 13, 50, 130, 425, 2210, 9997]:
-            for t in roots_mod(poly, v):
-                reduced = reduce_at_root(poly, v, t)
-                assert reduced.discriminant() == disc - 4 * poly.a * v
-                for u in range(101):
-                    assert reduced(u) == poly(u * v + t) // v + 1
 
 
 def _sieve_matches_factorize(poly, x, start, step):
@@ -422,7 +389,7 @@ def test_no_internal_path_calls_kronecker(monkeypatch):
         for t in range(p):
             roots.setdefault(t * t % p, set()).add(t)
         for a in range(p):
-            assert sqrt_mod_prime(a, p) == roots.get(a, set()), (a, p)
+            assert quad_poly._tonelli_shanks(a, p) == roots.get(a, set()), (a, p)
     poly = QuadPoly(1, 0, 1)
     for q in range(1, 1000):
         assert rho(poly, q) == brute_root_count(poly, q), q
