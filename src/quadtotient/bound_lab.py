@@ -14,13 +14,13 @@ error.  One column maker gives every character (d|q), for the products,
 the split fractions and the exception scan alike, with no Kronecker call.
 Writing d = +-2^j m with m odd, reciprocity and the two supplementary
 laws give (d|q) = s(q mod 8) (q|m).  The table branch reads (q|m) from an
-m-byte table when 1 < m <= min(y, 2^17), m = 1 needs the sign alone, and
-the Euler branch takes d^((q-1)/2) mod q for each q otherwise.  All three
-walk the odd primes in blocks, and carry their products from block to
-block.  The scan takes the maker for each squarefree part that is 1 or
-prime; (d|q) is completely multiplicative in d, so the column of
-characters of a composite part is the product of two smaller parts'
-columns.  Root solving is bisection with sign-checked brackets, never a
+m-byte table when m <= min(y, 2^17), and the Euler branch takes
+d^((q-1)/2) mod q for each q otherwise.  Both walk the odd primes in
+blocks, and carry their products from block to block.  The scan takes the
+maker for each squarefree part that is 1 or prime; (d|q) is completely
+multiplicative in d, so the column of characters of a composite part is
+the product of two smaller parts' columns.  Root solving is bisection on
+fixed brackets across which the difference changes sign, never a
 derivative method.
 """
 
@@ -33,7 +33,7 @@ from collections.abc import Callable, Iterable, Iterator
 from itertools import islice
 from operator import mul
 
-from .arith_core import INPUT_LIMIT, _Record, factorize, is_square, iter_primes
+from .arith_core import _Record, _check_limit, factorize, is_square, iter_primes
 
 __all__ = [
     "ExponentSolution",
@@ -147,8 +147,6 @@ def solve_balance_A(tolerance: float = 1e-12) -> ExponentSolution:
     if tolerance < 1e-14:
         raise ValueError("tolerance must be at least 1e-14")
     gap = lambda A: v2_exponent(A) - v3_exponent(A)
-    if not gap(0.5) > 0.0 > gap(1.0):
-        raise ArithmeticError("no sign change on (1/2, 1)")
     a_star, iterations = _bisect(gap, 0.5, 1.0, tolerance, _RESIDUAL_CEILING)
     return ExponentSolution(
         a_star=a_star,
@@ -168,16 +166,13 @@ def crossover_eps(tolerance: float = 1e-12) -> float:
     if tolerance < 1e-12:
         raise ValueError("tolerance must be at least 1e-12")
     gap = lambda eps: eps * math.log(2.0) / 4.0 - excess_factor_exponent(eps / 2.0)
-    if not gap(0.1) > 0.0 > gap(3.0):
-        raise ArithmeticError("no sign change on (0.1, 3)")
     return _bisect(gap, 0.1, 3.0, tolerance)[0]
 
 
 def _check_product_args(d: int, y: float, exact: bool) -> None:
     if d == 0:
         raise ValueError("d must be nonzero")
-    if abs(d) > INPUT_LIMIT:
-        raise ValueError("|d| exceeds the supported range 2^63")
+    _check_limit(d, "d")
     if not y >= 3:  # NaN fails here too
         raise ValueError("y must be at least 3")
     if exact and y > _EXACT_Y_LIMIT:
@@ -193,11 +188,11 @@ def _characters(
 
     Write d = +-2^j m with m odd.  By Jacobi reciprocity and the two
     supplementary laws, (d|q) = s(q mod 8) (q|m), where s takes (-1|q)
-    when d < 0, (2|q)^j, and -1 when m = q = 3 (mod 4).  For m = 1 the
-    sign is the character.  When m <= min(y, _TABLE_LIMIT), (q|m) is read
-    from a table of (r|m), m bytes: the product of (r|p)^e over p^e || m,
-    each tiled from p's table of squares.  Otherwise each q takes Euler's
-    criterion d^((q-1)/2) mod q, valid for any d since q is prime.
+    when d < 0, (2|q)^j, and -1 when m = q = 3 (mod 4).  When
+    m <= min(y, _TABLE_LIMIT), (q|m) is read from a table of (r|m), m
+    bytes: the product of (r|p)^e over p^e || m, each tiled from p's table
+    of squares.  Otherwise each q takes Euler's criterion
+    d^((q-1)/2) mod q, valid for any d since q is prime.
     ``factors``, the (p, e) of m when the caller already holds them,
     spares factoring m for its table.
     """
@@ -207,8 +202,6 @@ def _characters(
     odd = -1 if (d < 0) != (m % 4 == 3) else 1
     two = -1 if j % 2 else 1
     sign = (0, 1, 0, odd * two, 0, two, 0, odd)  # s at q mod 8
-    if m == 1:
-        return lambda block: array("b", [sign[q & 7] for q in block])
     if m > min(y, _TABLE_LIMIT):
         return lambda block: array("b", [(pow(d, q >> 1, q) + 1) % q - 1 for q in block])
     jacobi = array("b", [1]) * m  # (r|m) at r
@@ -243,10 +236,9 @@ def _fold(
     """
     exact = not isinstance(twisted, float)
     for q, chi in pairs:
-        if chi:
-            twisted = twisted * (q - chi) / q if exact else twisted * (1.0 - chi / q)
-            if chi == 1 and split is not None:
-                split = split * (q - 2) / q if exact else split * (1.0 - 2.0 / q)
+        twisted = twisted * (q - chi) / q if exact else twisted * (1.0 - chi / q)
+        if chi == 1 and split is not None:
+            split = split * (q - 2) / q if exact else split * (1.0 - 2.0 / q)
     return split, twisted
 
 

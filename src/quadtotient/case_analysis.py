@@ -10,11 +10,13 @@ to CSV (one row per n) or a JSON summary.
 The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
 factor each value once, by the root sieve ``quad_poly.factor_values``,
 and trial-divide none.  ``survey`` and ``ew_density_probe`` sieve only
-the n whose value is even, read off n mod 2 after P(1) and P(2).  Odd
-values above 1 are nontotients, and ``classify`` makes the only
-evaluation of each P(n).  An odd value has only odd divisors d, and d + 1
-is an odd prime only for even d, so the probe counts it only through
-p = 2, that is exactly when T < 2, when every n counts.
+the n whose value is even, read off n mod 2 after P(1) and P(2), since
+odd values above 1 are nontotients.  The sieve evaluates each value it
+factors, ``classify`` evaluates every P(n) again and checks it against
+the factorization it is handed, and the range check evaluates P at 1, x
+and the integers next to the vertex.  An odd value has only odd divisors
+d, and d + 1 is an odd prime only for even d, so the probe counts it only
+through p = 2, that is exactly when T < 2, when every n counts.
 """
 
 from __future__ import annotations

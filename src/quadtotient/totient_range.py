@@ -202,17 +202,16 @@ def _largest_preimage_prime(n: int, factorization: Factorization | None = None) 
     _check_fiber_arg(n, "the fiber search")
     if n % 2 and n > 1:
         return 0
-    # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
-    if n % 4 == 2 and is_prime(n + 1):
-        return n + 1
-    if factorization is None:
-        factorization = factorize(n)
     if n % 4 == 2:
-        for q, e in reversed(factorization.factors):
+        # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
+        if is_prime(n + 1):
+            return n + 1
+        # at most one q fits: two would each divide the other's q - 1
+        for q, e in (factorization or factorize(n)).factors:
             if (q - 1) * q ** e == n:
                 return q
         return 0
-    return _FiberSearch(factorization).largest_prime()
+    return _FiberSearch(factorization or factorize(n)).largest_prime()
 
 
 def inverse_totient(n: int) -> PreimageSet:
@@ -287,23 +286,25 @@ def totients_up_to(x: int) -> int:
 def _totient_bitmap(x: int) -> bytearray:
     """The membership bitmap of the totient values <= x; index 0 is unused."""
     bitmap = bytearray(x + 1)
-    odd_primes = primes_up_to(x + 1)[1:]
-
-    def mark(start: int, acc: int) -> None:
-        # acc is phi of the odd part chosen so far; a set entry already
-        # carries its whole doubling chain, so the chain stops there
-        v = acc
-        while v <= x and not bitmap[v]:
-            bitmap[v] = 1
-            v *= 2
-        for i in range(start, len(odd_primes)):
-            p = odd_primes[i]
-            contrib = acc * (p - 1)
-            if contrib > x:
-                break
-            while contrib <= x:
-                mark(i + 1, contrib)
-                contrib *= p
-
-    mark(0, 1)
+    _mark(bitmap, primes_up_to(x + 1), x, 1, 1)  # from 3: the doubling chains hold the 2s
     return bitmap
+
+
+def _mark(bitmap: bytearray, primes: list[int], x: int, start: int, acc: int) -> None:
+    """Mark the doubling chain of acc, phi of the odd part chosen so far, then
+    each acc * (p - 1) * p^k <= x over primes[start:], recursively.  Not a
+    closure: a recursive closure holds a reference cycle, which would keep
+    the bitmap alive until the cyclic collector runs."""
+    # a set entry already carries its whole doubling chain, so the chain stops there
+    v = acc
+    while v <= x and not bitmap[v]:
+        bitmap[v] = 1
+        v *= 2
+    for i in range(start, len(primes)):
+        p = primes[i]
+        contrib = acc * (p - 1)
+        if contrib > x:
+            break
+        while contrib <= x:
+            _mark(bitmap, primes, x, i + 1, contrib)
+            contrib *= p

@@ -84,8 +84,9 @@ def test_v1_exponent():
 
 
 def test_balance_endpoints_bracket():
+    # solve_balance_A bisects (0.5, 1.0) unchecked: the difference changes sign there
     assert v2_exponent(0.5) - v3_exponent(0.5) > 0
-    assert v2_exponent(0.999) - v3_exponent(0.999) < 0
+    assert v2_exponent(1.0) - v3_exponent(1.0) < 0
 
 
 def test_solve_balance():
@@ -150,6 +151,9 @@ def test_crossover_eps():
     assert abs(eps - 1.747) < 3e-3
     assert crossover_inequality_holds(1.0)
     assert not crossover_inequality_holds(2.0)
+    # crossover_eps bisects (0.1, 3) unchecked: the inequality turns false there
+    assert crossover_inequality_holds(0.1)
+    assert not crossover_inequality_holds(3.0)
     # frozen: lhs/rhs at the two probe points
     assert abs(excess_factor_exponent(0.5) - 0.10819766216224658) < 1e-12
     assert abs(1.0 * math.log(2) / 4 - 0.17328679513998632) < 1e-12

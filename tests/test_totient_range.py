@@ -329,13 +329,17 @@ def test_largest_fiber_pinned():
     assert digest == "a4d2f1ae8d4638c0cec659d76f26fd52748d52f35038469f56d95bfddababa0c"
 
 
-@pytest.mark.parametrize("n", [10080, 41902660800])
-def test_fiber_listing_leaves_no_garbage_cycle(n):
-    # the walk and its table are freed by reference counting alone
+@pytest.mark.parametrize(
+    "listing, n",
+    [(inverse_totient, 10080), (inverse_totient, 41902660800), (totients_up_to, 10**5)],
+    ids=["10080", "41902660800", "totients_up_to-100000"],
+)
+def test_fiber_listing_leaves_no_garbage_cycle(listing, n):
+    # the walks, their table and the bitmap are freed by reference counting alone
     gc.collect()
     gc.disable()
     try:
-        inverse_totient(n)
+        listing(n)
         assert gc.collect() == 0
     finally:
         gc.enable()
