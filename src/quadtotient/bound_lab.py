@@ -92,21 +92,21 @@ def b_exponent(a_param: float, b_param: float) -> float:
     """A log B - B + 1; maximized in B at B = A, where it equals v2_exponent(A)."""
     if not 0.0 < a_param <= 1.0:
         raise ValueError("A must lie in (0, 1]")
-    if b_param <= 0.0:
+    if not b_param > 0.0:  # NaN fails here too
         raise ValueError("B must be positive")
     return a_param * math.log(b_param) - b_param + 1.0
 
 
 def excess_factor_exponent(eps: float) -> float:
     """(1 + eps) log(1 + eps) - eps for eps > 0."""
-    if eps <= 0.0:
+    if not eps > 0.0:  # NaN fails here too
         raise ValueError("eps must be positive")
     return (1.0 + eps) * math.log(1.0 + eps) - eps
 
 
 def holder_objective(a_param: float) -> float:
     """2^A / (2A); its minimum over A > 0 is e*log(2)/2, at A = 1/log 2."""
-    if a_param <= 0.0:
+    if not a_param > 0.0:  # NaN fails here too
         raise ValueError("A must be positive")
     return 2.0 ** a_param / (2.0 * a_param)
 
@@ -144,7 +144,7 @@ def solve_balance_A(tolerance: float = 1e-12) -> ExponentSolution:
     residual is at most 1e-12, so the returned solution always satisfies
     the type invariant regardless of a looser tolerance.
     """
-    if tolerance < 1e-14:
+    if not tolerance >= 1e-14:  # NaN fails here too
         raise ValueError("tolerance must be at least 1e-14")
     gap = lambda A: v2_exponent(A) - v3_exponent(A)
     a_star, iterations = _bisect(gap, 0.5, 1.0, tolerance, _RESIDUAL_CEILING)
@@ -163,7 +163,7 @@ def crossover_inequality_holds(eps: float) -> bool:
 
 def crossover_eps(tolerance: float = 1e-12) -> float:
     """The eps in (0.1, 3) where the crossover inequality turns false."""
-    if tolerance < 1e-12:
+    if not tolerance >= 1e-12:  # NaN fails here too
         raise ValueError("tolerance must be at least 1e-12")
     gap = lambda eps: eps * math.log(2.0) / 4.0 - excess_factor_exponent(eps / 2.0)
     return _bisect(gap, 0.1, 3.0, tolerance)[0]

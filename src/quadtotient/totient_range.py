@@ -13,16 +13,20 @@ entry of r / ((p - 1) * p^k) is below p.  This is the divisor dynamic
 programming of Contini, Croot and Shparlinski (Math. Comp. 2006) and of
 Alekseyev (J. Integer Seq. 2016).
 
-The search uses the 2-adic structure of totients: phi(m) has a factor 2
-for each distinct odd prime of m, so a candidate p = d + 1 for a rest r
-whose d holds every factor 2 of r leaves an odd rest r / d, which only
-powers of p can fill.  Such a d is skipped before any primality test
-unless r / d is a power of p.  In particular a value n = 2 (mod 4), such
-as every even value of x^2 + 1, is phi(m) only for m = p^(k+1) or
-2 p^(k+1) with n = (p - 1) p^k.  Its largest preimage prime is read off
-its factorization with no divisor list: n + 1 when that is prime, else
-the odd prime q of n with q^e (q - 1) = n, where q^e is the full power of
-q in n, and none when neither exists.
+Each candidate p = d + 1 for a rest r gets one question: does p end some
+m with phi(m) = r as its largest odd prime?  The 2-adic structure of
+totients splits the answer in two, since phi(m) has a factor 2 for each
+distinct odd prime of m.  When d holds every factor 2 of r, the rest r / d
+is odd and only powers of p can fill it, so the answer is that r / d is a
+power of p and p is prime, tested in that order, with no table lookup.
+Otherwise p is tested for primality first, and then the rests
+r / ((p - 1) p^k), k = 0, 1, ..., are read from the table until one has
+an entry below p (yes) or p no longer divides it (no).  In particular a
+value n = 2 (mod 4), such as every even value of x^2 + 1, is phi(m) only
+for m = p^(k+1) or 2 p^(k+1) with n = (p - 1) p^k.  Its largest preimage
+prime is read off its factorization with no divisor list: n + 1 when that
+is prime, else the odd prime q of n with q^e (q - 1) = n, where q^e is
+the full power of q in n, and none when neither exists.
 
 ``p_max`` and ``is_totient`` never list the fiber: the largest prime of
 any preimage of n is the first odd prime p, in descending order, that
@@ -54,7 +58,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from collections.abc import Iterator
 
 from .arith_core import Factorization, _Record, factorize, is_prime, primes_up_to
 
@@ -102,24 +105,27 @@ class _FiberSearch:
             prime = self._prime_after[d] = is_prime(d + 1)
         return prime
 
-    def _admits(self, r: int, d: int) -> bool:
-        """Whether p = d + 1 is an odd prime that may divide a preimage of r; needs d | r.
-
-        When d holds every factor 2 of r, the rest r / d is odd and only
-        powers of p can fill it, so d is dropped before any primality test
-        unless r / d is a power of p.
-        """
+    def _ends(self, r: int, d: int) -> bool:
+        """Whether p = d + 1 is an odd prime that ends some m with phi(m) = r
+        as its largest odd prime; needs d | r.  An odd rest r / d must be a
+        power of p, checked before p's primality test; any other rest is
+        closed by the loop over k after it, as the module docstring says."""
+        p, rest = d + 1, r // d
         if d & -d == r & -r:
-            rest, p = r // d, d + 1
             while rest % p == 0:
                 rest //= p
-            if rest != 1:
+            return rest == 1 and self._is_prime_after(d)
+        if not self._is_prime_after(d):
+            return False
+        while self.least_top(rest) >= p:
+            if rest % p:
                 return False
-        return self._is_prime_after(d)
+            rest //= p
+        return True
 
     def listed(self) -> list[int]:
         """Every d | n with d + 1 an odd prime, ascending; the walks take it in
-        place of the even divisors from here on, since no other d is admitted."""
+        place of the even divisors from here on, since no other d ends a preimage."""
         self._divisors = [d for d in self._divisors if self._is_prime_after(d)]
         return self._divisors
 
@@ -132,23 +138,11 @@ class _FiberSearch:
                 for d in self._divisors:
                     if d > r:
                         break
-                    if r % d == 0 and self._admits(r, d) and any(self.closings(r, d + 1)):
+                    if r % d == 0 and self._ends(r, d):
                         least = d + 1
                         break
             self._least_top[r] = least
         return least
-
-    def closings(self, r: int, p: int) -> Iterator[tuple[int, int]]:
-        """(p^(k+1), r / ((p - 1) p^k)) for each k >= 0 at which the rest has
-        a preimage over primes below p; needs p - 1 | r."""
-        rest, power = r // (p - 1), p
-        while True:
-            if self.least_top(rest) < p:
-                yield power, rest
-            if rest % p:
-                return
-            rest //= p
-            power *= p
 
     def branches(self, r: int) -> tuple[array, array, array]:
         """The branch table row of r | n, as parallel arrays of i, p^(k+1) and
@@ -156,8 +150,9 @@ class _FiberSearch:
         d = listed[i] = p - 1 dividing r and each k >= 0 at which that rest
         has a preimage over primes below p; needs listed().
 
-        The closing test of ``closings``, inline, with the table read
-        directly and ``least_top`` called only for a rest not yet in it.
+        The closing loop of ``_ends``, run over every k rather than to the
+        first that closes, with the table read directly and ``least_top``
+        called only for a rest not yet in it.
         """
         indices, powers, rests = array("q"), array("q"), array("q")
         known = self._least_top
@@ -181,7 +176,7 @@ class _FiberSearch:
     def largest_prime(self) -> int:
         """The largest prime of any preimage of n, 0 when there is none."""
         for d in reversed(self._divisors):
-            if self._admits(self.n, d) and any(self.closings(self.n, d + 1)):
+            if self._ends(self.n, d):
                 return d + 1
         return 2 if self.n & (self.n - 1) == 0 else 0
 

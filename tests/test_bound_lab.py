@@ -226,9 +226,17 @@ def test_product_guards():
         (lambda: split_and_twisted(5, 10**8 + 1), "10\\^8"),
         (lambda: twisted_exception_scan(1, 20), "limit must lie in"),
         (lambda: twisted_exception_scan(10**5 + 1, 3), "limit must lie in"),
+        (lambda: b_exponent(0.7, math.nan), "B must be positive"),
+        (lambda: excess_factor_exponent(math.nan), "eps must be positive"),
+        (lambda: crossover_inequality_holds(math.nan), "eps must be positive"),
+        (lambda: holder_objective(math.nan), "A must be positive"),
+        (lambda: solve_balance_A(math.nan), "at least 1e-14"),
+        (lambda: crossover_eps(math.nan), "at least 1e-12"),
     ],
     ids=["B<0", "eps=0", "eps<0", "balance tolerance", "crossover tolerance", "|d|>2^63",
-         "y>10^8", "scan limit<2", "scan limit>10^5"],
+         "y>10^8", "scan limit<2", "scan limit>10^5", "B=nan", "excess eps=nan",
+         "crossover eps=nan", "holder A=nan", "balance tolerance=nan",
+         "crossover tolerance=nan"],
 )
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):

@@ -193,36 +193,42 @@ def test_search_matches_enumeration_on_quadratic_values(k, m):
     assert _searched(n) == _enumerated(n)
 
 
-def _unpruned_search(n):
-    """(is_totient, p_max) of an even n by the divisor search without the
-    2-adic prune or the v_2(n) = 1 read: every even divisor d of a rest
-    gets a primality test of d + 1."""
-    divisors = factorize(n).divisors()
-    least = {d: 0 for d in divisors if d & (d - 1) == 0}
+class _Unpruned:
+    """The divisor search of an even n without the 2-adic prune or the
+    v_2(n) = 1 read: every even divisor d of a rest gets a primality test
+    of d + 1."""
 
-    def least_top(r):
+    def __init__(self, n):
+        self.divisors = factorize(n).divisors()
+        self.least = {d: 0 for d in self.divisors if d & (d - 1) == 0}
+
+    def least_top(self, r):
         # the least largest odd prime of an m with phi(m) = r
-        if r not in least:
-            least[r] = math.inf
+        if r not in self.least:
+            self.least[r] = math.inf
             if r % 2 == 0:  # an odd r > 1 has no preimage
-                for d in divisors:
+                for d in self.divisors:
                     if d > r:
                         break
-                    if d % 2 == 0 and r % d == 0 and is_prime(d + 1) and closes(r, d + 1):
-                        least[r] = d + 1
+                    if d % 2 == 0 and r % d == 0 and is_prime(d + 1) and self.closes(r, d + 1):
+                        self.least[r] = d + 1
                         break
-        return least[r]
+        return self.least[r]
 
-    def closes(r, p):
+    def closes(self, r, p):
         rest = r // (p - 1)
-        while least_top(rest) >= p:
+        while self.least_top(rest) >= p:
             if rest % p:
                 return False
             rest //= p
         return True
 
-    for d in reversed(divisors):
-        if d % 2 == 0 and is_prime(d + 1) and closes(n, d + 1):
+
+def _unpruned_search(n):
+    """(is_totient, p_max) of an even n by the unpruned divisor search."""
+    oracle = _Unpruned(n)
+    for d in reversed(oracle.divisors):
+        if d % 2 == 0 and is_prime(d + 1) and oracle.closes(n, d + 1):
             return True, d + 1
     return (True, 2) if n & (n - 1) == 0 else (False, 0)
 
@@ -244,6 +250,27 @@ _EVEN_UP_TO_2_50 = st.one_of(
 @given(_EVEN_UP_TO_2_50)
 def test_pruned_search_matches_unpruned_search(n):
     assert _searched(n) == _unpruned_search(n)
+
+
+_SMOOTH_EVEN_UP_TO_1E10 = st.tuples(
+    st.integers(min_value=1, max_value=33),
+    st.lists(st.sampled_from(_SMALL_PRIMES), max_size=10),
+).map(lambda t: (1 << t[0]) * math.prod(t[1])).filter(lambda n: n <= 10**10)
+
+
+@settings(deadline=None, max_examples=100)
+@given(_SMOOTH_EVEN_UP_TO_1E10)
+@example(10080)
+@example(2 * 3**12)
+def test_search_table_matches_unpruned_table(n):
+    # every table entry, and the predicate at every even d | r, against the oracle
+    search, oracle = _FiberSearch(factorize(n)), _Unpruned(n)
+    divisors = oracle.divisors
+    for r in divisors:
+        assert search.least_top(r) == oracle.least_top(r), r
+        for d in divisors[:bisect_right(divisors, r)]:
+            if d % 2 == 0 and r % d == 0:
+                assert search._ends(r, d) == (is_prime(d + 1) and oracle.closes(r, d + 1)), (r, d)
 
 
 @settings(deadline=None, max_examples=100)
@@ -281,7 +308,7 @@ def test_large_fibers_pinned():
 def _assembled(n):
     """inverse_totient by the walk it used before the branch table: every node
     tests each listed d below its bound against what is left, and closes each
-    d that divides through ``closings``."""
+    d that divides by its own loop over k, reading only ``least_top``."""
     if n % 2 and n > 1:
         return PreimageSet(n, (), 0)
     search = _FiberSearch(factorize(n))
@@ -299,8 +326,15 @@ def _assembled(n):
         for i in reversed(range(min(stop, bisect_right(listed, remaining)))):
             d = listed[i]
             if remaining % d == 0:
-                for power, rest in search.closings(remaining, d + 1):
-                    assemble(i, rest, acc * power)
+                p = d + 1
+                rest, power = remaining // d, p
+                while True:
+                    if search.least_top(rest) < p:
+                        assemble(i, rest, acc * power)
+                    if rest % p:
+                        break
+                    rest //= p
+                    power *= p
 
     assemble(len(listed), n, 1)
     found.sort()
