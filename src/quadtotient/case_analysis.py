@@ -8,14 +8,34 @@ T < p <= 4ax split by whether Omega_T(p - 1) clears A * loglog T.
 to CSV (one row per n) or a JSON summary.
 
 The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
-factor each value once, by the root sieve ``quad_poly.factor_values``,
-and trial-divide none.  ``survey`` and ``ew_density_probe`` sieve only
-the n whose value is even, read off n mod 2 after P(1) and P(2), since
-odd values above 1 are nontotients.  The sieve evaluates each value it
-factors, ``classify`` evaluates every P(n) again and checks it against
-the factorization it is handed, and the range check evaluates P at 1, x
-and the integers next to the vertex.  An odd value has only odd divisors
-d, and d + 1 is an odd prime only for even d, so the probe counts it only
+factor each value at most once, by the root sieve of ``quad_poly``, and
+trial-divide none.  ``survey`` takes one residue class of n mod 4 at a
+time: P(n) mod 4 follows n mod 4, so each class's residue is read off
+P(1), ..., P(4).
+- Odd values above 1 are nontotients and are only counted; a value 1
+  (phi(1) = phi(2) = 1) goes to ``classify``, which puts it in SmallP.
+- A value v = 2 (mod 4) is phi(m) only as v = (p - 1) p^k, so p_max is
+  v + 1 when that is prime, else the odd prime q with (q - 1) q^e = v,
+  else there is none (the rule of ``totient_range``).  No such value is
+  handed to ``classify``, and none is factored for p_max.  v + 1 is
+  tested by a root sieve of P + 1 that zeroes flags in a bytearray, or by
+  one primality test per value where isqrt(max P + 1) lies past the root
+  sieve's reach of x; e = 1 is read off isqrt(4v + 1); e >= 2 comes from
+  one pass over the primes q = 3 (mod 4) with (q - 1) q^2 <= max P, each
+  (q, e) solved for n by the discriminant.  Omega_T(p_max - 1) comes from
+  a root sieve over the primes below T at the totient values alone; with
+  T above the root sieve's bound, what that sieve leaves of each totient
+  value is factored.
+- Values 0 (mod 4) are factored by one root sieve, which finds each
+  prime's roots once for all their classes, and handed to ``classify``.
+The range check evaluates P at 1, x and the integers next to the vertex,
+which bounds every value, so the sweep evaluates P(n) with no range
+guard; only ``classify`` evaluates a value again through the guard, and
+it sees only the values 0 (mod 4) and a value 1.
+
+``ew_density_probe`` factors only the n whose value is even, read off
+n mod 2 after P(1) and P(2).  An odd value has only odd divisors d, and
+d + 1 is an odd prime only for even d, so the probe counts it only
 through p = 2, that is exactly when T < 2, when every n counts.
 """
 
@@ -23,12 +43,23 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arith_core import Factorization, _Record, factorize, is_prime
-from .quad_poly import QuadPoly, _largest_value, factor_values
-from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime
+from .arith_core import Factorization, _Record, factorize, is_prime, iter_primes
+from .quad_poly import (
+    _SIEVE_REACH,
+    QuadPoly,
+    _largest_value,
+    _prime_exponents,
+    _prime_flags,
+    _raw,
+    _root_sieve,
+    _sieve_bound,
+    factor_values,
+)
+from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime, _two_mod_four_prime
 
 __all__ = [
     "Case",
@@ -153,7 +184,6 @@ def classify(
         return CaseRecord(n, value, False, None, None, None, Case.NOT_TOTIENT)
     if value % (pm - 1):  # p | m forces p - 1 | phi(m)
         raise ArithmeticError(f"p_max - 1 = {pm - 1} does not divide {value}")
-    cofactor = value // (pm - 1)
     # p_max - 1 divides the value, so its primes are among the value's own
     omega, rest = 0, pm - 1
     for q, _ in factorization.factors:
@@ -162,6 +192,13 @@ def classify(
         while rest % q == 0:
             rest //= q
             omega += 1
+    return _totient_record(poly, n, x, t_cut, a_param, value, pm, omega)
+
+
+def _totient_record(
+    poly: QuadPoly, n: int, x: int, t_cut: float, a_param: float, value: int, pm: int, omega: int
+) -> CaseRecord:
+    """The record of a totient value with p_max pm and Omega_T(pm - 1) = omega."""
     if pm > 4 * poly.a * x:
         case = Case.CASE1
     elif pm <= t_cut:
@@ -170,17 +207,111 @@ def classify(
         case = Case.CASE2
     else:
         case = Case.CASE3
-    return CaseRecord(n, value, True, pm, cofactor, omega, case)
+    return CaseRecord(n, value, True, pm, value // (pm - 1), omega, case)
 
 
-def _even_values(poly: QuadPoly, x: int) -> tuple[list[int], Iterator[Factorization]]:
-    """The n in (1, 2) with poly(n) even, and the factorizations of the even poly(n), n <= x.
+def _classes(poly: QuadPoly, x: int, residues: tuple[int, ...]) -> list[range]:
+    """The n <= x with poly(n) mod 4 in ``residues``, as few progressions as
+    they fill: P(n) mod 4 follows n mod 4, so the n make up whole classes
+    mod 4, read off P(1), ..., P(4); four classes are one progression of
+    step 1, and two classes 2 apart one of step 2."""
+    found = [r for r in (1, 2, 3, 4) if _raw(poly, r) % 4 in residues]
+    if len(found) == 4:
+        return [range(1, x + 1)]
+    if len(found) == 2 and found[1] - found[0] == 2:
+        return [range(found[0], x + 1, 2)]
+    return [range(r, x + 1, 4) for r in found]
 
-    P(n) mod 2 follows n mod 2: the even values sit at every n, at one
-    residue class mod 2, or nowhere; n shares its class with 2 - n % 2.
+
+def _ones(poly: QuadPoly, x: int) -> list[int]:
+    """The n <= x with poly(n) = 1.  Every value is at least 1 and a > 0, so
+    they are integer minimizers, next to the vertex -b/2a or at an end."""
+    vertex = -poly.b // (2 * poly.a)
+    near = {min(max(n, 1), x) for n in (vertex, vertex + 1)}
+    return sorted(n for n in near if _raw(poly, n) == 1)
+
+
+def _power_roots(poly: QuadPoly, x: int, top: int) -> dict[int, int]:
+    """n -> q for each n <= x with poly(n) = (q - 1) q^e, q an odd prime and
+    e >= 2, where every value is at most top.
+
+    Such a value is 2 (mod 4) only for q = 3 (mod 4), and (q - 1) q^2 <= top
+    bounds q.  Each (q, e) is one quadratic equation in n, solved by isqrt
+    of its discriminant.
     """
-    even = [n for n in (1, 2) if poly(n) % 2 == 0]
-    return even, factor_values(poly, x, even[0], 3 - len(even)) if even else iter(())
+    a, b, c = poly
+    disc = b * b - 4 * a * c
+    found = {}
+    for q in iter_primes(math.isqrt(top)):
+        w = (q - 1) * q * q
+        if w > top:
+            break
+        if q % 4 != 3:
+            continue
+        while w <= top:
+            d = disc + 4 * a * w  # of a n^2 + b n + c - w
+            s = math.isqrt(d) if d >= 0 else -1
+            if s * s == d:
+                for num in {-b + s, -b - s}:
+                    if num % (2 * a) == 0 and 1 <= num // (2 * a) <= x:
+                        found[num // (2 * a)] = q
+            w *= q
+    return found
+
+
+def _two_mod_four_totients(
+    poly: QuadPoly, ranges: list[range], x: int, t_cut: float, a_param: float, top: int,
+    bound: int,
+) -> Iterator[CaseRecord]:
+    """The records of the totient values among the n of ``ranges``, whose
+    values are 2 (mod 4) and at most top; ``bound`` is the root sieve's
+    prime bound.
+
+    The largest preimage prime of each value comes with no value factored.
+    A composite v + 1 <= top + 1 has a prime factor at most isqrt(top + 1):
+    where those primes are within the root sieve's reach of x, the primes
+    v + 1 are flagged by a root sieve of P + 1; otherwise each v + 1 takes
+    one primality test.  Omega_T(p_max - 1) comes from Omega_T(v), counted
+    by a root sieve over the primes below T at the totient n alone.  Primes
+    below T past the bound, which only a T above it asks for, come from
+    factoring what the sieve leaves.  When p_max = q with (q - 1) q^e = v,
+    the e factors q are taken back out.
+    """
+    a, b, c = poly
+    root_bound = math.isqrt(top + 1)
+    if root_bound <= _SIEVE_REACH * x:
+        flags = _prime_flags((a, b, c + 1), ranges, root_bound)
+    else:
+        flags = [None] * len(ranges)
+    powers = _power_roots(poly, x, top)
+    marked, tops = [], []  # per range, the totient indices k and their p_max
+    for ns, flag in zip(ranges, flags):
+        ks, pms = array("q"), array("q")
+        for k, n in enumerate(ns):
+            v = (a * n + b) * n + c
+            # a v + 1 <= root_bound may equal a sieving prime, and is tested directly
+            prime_after = flag[k] if flag is not None and v >= root_bound else is_prime(v + 1)
+            pm = _two_mod_four_prime(v, prime_after, powers.get(n, 0))
+            if pm:
+                ks.append(k)
+                pms.append(pm)
+        marked.append(ks)
+        tops.append(pms)
+    partial = t_cut > bound
+    limit = bound if partial else math.ceil(t_cut) - 1
+    exponents = _prime_exponents(poly, ranges, marked, limit)
+    for ns, ks, pms, (counts, rests) in zip(ranges, marked, tops, exponents):
+        for k, pm, omega, rest in zip(ks, pms, counts, rests):
+            n = ns[k]
+            value = _raw(poly, n)
+            if partial and rest > 1:
+                omega += sum(e for q, e in factorize(rest).factors if q < t_cut)
+            if pm != value + 1 and pm < t_cut:
+                power = value // (pm - 1)
+                while power > 1:
+                    power //= pm
+                    omega -= 1
+            yield _totient_record(poly, n, x, t_cut, a_param, value, pm, omega)
 
 
 def survey(
@@ -192,23 +323,54 @@ def survey(
 ) -> CaseReport:
     """Classify every n in [1, x] and tally the cases.
 
-    The n with an even value are factored by the root sieve, after every
-    argument check, and their factorizations handed to ``classify``.
+    After every argument check, the n are taken one residue class mod 4 at
+    a time, as the module docstring says: odd values are counted, values
+    2 (mod 4) are decided by their class with no value factored, and values
+    0 (mod 4) are factored by one root sieve and handed to ``classify``.
     """
     if x < 1:
         raise ValueError("survey requires x >= 1")
     _check_case_split(poly, t_cut, a_param)
-    if _largest_value(poly, x) > PREIMAGE_INPUT_LIMIT:
+    top = _largest_value(poly, x)
+    if top > PREIMAGE_INPUT_LIMIT:
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
-    records: list[CaseRecord] = []
-    even, sieve = _even_values(poly, x)
-    for n in range(1, x + 1):
-        factorization = next(sieve) if 2 - n % 2 in even else None
-        record = classify(poly, n, x, t_cut, a_param, factorization)
+    records: list[CaseRecord] | None = [None] * x if keep_records else None
+
+    def keep(record: CaseRecord) -> None:
         tallies[record.case] += 1
-        if keep_records:
-            records.append(record)
+        if records is not None:
+            records[record.n - 1] = record
+
+    def nontotient(ranges: list[range]) -> None:
+        # every n of the ranges, until a totient record takes its place
+        for ns in ranges:
+            tallies[Case.NOT_TOTIENT] += len(ns)
+            if records is not None:
+                for n in ns:
+                    records[n - 1] = CaseRecord(
+                        n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT
+                    )
+
+    def totient(record: CaseRecord) -> None:
+        tallies[Case.NOT_TOTIENT] -= 1
+        keep(record)
+
+    nontotient(_classes(poly, x, (1, 3)))  # phi(m) is even for every m > 2
+    for n in _ones(poly, x):  # but phi(1) = phi(2) = 1
+        totient(classify(poly, n, x, t_cut, a_param))
+    bound = _sieve_bound(poly, x)
+    ranges = _classes(poly, x, (2,))
+    nontotient(ranges)
+    if ranges:
+        for record in _two_mod_four_totients(poly, ranges, x, t_cut, a_param, top, bound):
+            totient(record)
+    ranges = _classes(poly, x, (0,))
+    sieve = _root_sieve(poly, ranges, bound)  # a generator: no work without a range
+    for ns in ranges:
+        for n in ns:
+            keep(classify(poly, n, x, t_cut, a_param, next(sieve)))
+
     v1, v2, v3 = tallies[Case.CASE1], tallies[Case.CASE2], tallies[Case.CASE3]
     smallp = tallies[Case.SMALL_P]
     return CaseReport(
@@ -249,8 +411,11 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     # p = 2, which clears the cutoff exactly when T < 2, for every value
     if t_cut < 2:
         return Fraction(1)
+    # P(n) mod 2 follows n mod 2: the even values sit at every n, at one
+    # residue class mod 2, or nowhere
+    even = [n for n in (1, 2) if poly(n) % 2 == 0]
     count = sum(
         any(d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors())
-        for factorization in _even_values(poly, x)[1]
+        for factorization in (factor_values(poly, x, even[0], 3 - len(even)) if even else ())
     )
     return Fraction(count, x)

@@ -19,7 +19,8 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 
 from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import (
@@ -185,12 +186,14 @@ class _ArgumentError(ValueError):
     """A renderer's argument check failed before any work: exit 2."""
 
 
-def _emit(text: str, out: str) -> None:
+def _emit(text: str | Iterable[str], out: str) -> None:
+    """Write a renderer's output: one string, or an iterable of its pieces."""
+    pieces = [text] if isinstance(text, str) else text
     if out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines(pieces)
 
 
 def _json_line(value, indent: int | None = None) -> str:
@@ -238,7 +241,7 @@ def _fail(error: object, code: int) -> int:
     return code
 
 
-def _survey(args: argparse.Namespace) -> str:
+def _survey(args: argparse.Namespace) -> str | Iterator[str]:
     # the case split's rules are argument checks: fail them before any work
     try:
         t_cut = args.T
@@ -257,11 +260,27 @@ def _survey(args: argparse.Namespace) -> str:
     report = survey(args.poly, args.x, t_cut, args.A, keep_records=keep)
     if args.format == "csv":
         return report.to_csv()
-    summary = report.summary_dict()
-    if args.records:
-        keys = CSV_HEADER.split(",")
-        summary["records"] = [dict(zip(keys, rec.row())) for rec in report.records]
-    return _json_line(summary, indent=2)
+    summary = _json_line(report.summary_dict(), indent=2)
+    if not args.records:
+        return summary
+    # the bytes of json.dumps(indent=2) with the records listed last, made
+    # one row at a time: no dict per row, and no document held whole
+    head = summary[: -len("\n}\n")] + ',\n  "records": [\n'
+    return chain((head,), _json_records(report.records), ("\n  ]\n}\n",))
+
+
+def _json_records(records) -> Iterator[str]:
+    """Each record as the object json.dumps(indent=2) prints for it inside
+    the summary, with the separator before all but the first."""
+    fields = ",\n".join(f'      "{key}": {{}}' for key in CSV_HEADER.split(","))
+    layout = "    {{\n" + fields + "\n    }}"
+    separator = ""
+    for record in records:
+        yield separator + layout.format(
+            *("null" if f is None else json.dumps(f) if isinstance(f, str) else f
+              for f in record.row())
+        )
+        separator = ",\n"
 
 
 def _bounds(args: argparse.Namespace) -> str:

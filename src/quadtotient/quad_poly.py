@@ -38,14 +38,24 @@ x = 300 take about 46 ms of CPU against 27 ms.
 The values are held one segment of 1024 at a time.  Each root
 progression waits in the bucket of the segment holding its next term, so
 a segment visits only the primes that divide some value in it; the root
-lists of all primes up to B are kept.
+lists of all primes up to B are kept.  The sieve runs over one or more
+progressions of n with one step, finding each prime's roots once for all
+of them.  Two lighter sieves walk the same root progressions, through
+one shared helper: one flags the values with no prime factor up to a
+bound, by slice assignment into a bytearray, and one counts the prime
+factors up to a bound of chosen values only, walking a bytearray mask of
+them at C speed.  ``case_analysis.survey`` runs them on P + 1 (whose
+constant may pass 2^31, so they take any coefficient triple) and on P.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterator
+from itertools import compress
 
 from .arith_core import (
     INPUT_LIMIT,
@@ -130,9 +140,10 @@ class QuadPoly(_Record, namedtuple("QuadPoly", "a b c")):
         return not is_square(self.discriminant())
 
 
-def _raw(poly: QuadPoly, n: int) -> int:
-    # internal evaluation without the public range guard
-    return (poly.a * n + poly.b) * n + poly.c
+def _raw(poly: tuple[int, int, int], n: int) -> int:
+    # internal evaluation without the public range guard, of any (a, b, c)
+    a, b, c = poly
+    return (a * n + b) * n + c
 
 
 def _tonelli_shanks(a: int, p: int) -> set[int]:
@@ -172,19 +183,21 @@ def _tonelli_shanks(a: int, p: int) -> set[int]:
     return {r, p - r}
 
 
-def _roots_mod_prime(poly: QuadPoly, p: int) -> list[int]:
-    """Roots of poly mod p, for a prime p not dividing all coefficients."""
+def _roots_mod_prime(poly: tuple[int, int, int], p: int) -> list[int]:
+    """Roots of a*x^2 + b*x + c mod p, for poly = (a, b, c) and a prime p
+    not dividing all three."""
+    a, b, c = poly
     if p == 2:
         return [t for t in (0, 1) if _raw(poly, t) % 2 == 0]
-    if poly.a % p == 0:
-        if poly.b % p != 0:
-            return [(-poly.c * pow(poly.b, -1, p)) % p]
+    if a % p == 0:
+        if b % p != 0:
+            return [(-c * pow(b, -1, p)) % p]
         return []  # a, b = 0 mod p forces c != 0 mod p: no roots
-    sqrts = _tonelli_shanks(poly.discriminant(), p)
+    sqrts = _tonelli_shanks(b * b - 4 * a * c, p)
     if not sqrts:
         return []
-    inv2a = pow(2 * poly.a, -1, p)
-    return sorted({(-poly.b + s) * inv2a % p for s in sqrts})
+    inv2a = pow(2 * a, -1, p)
+    return sorted({(-b + s) * inv2a % p for s in sqrts})
 
 
 def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
@@ -310,7 +323,7 @@ def factor_values(
         raise ValueError("factor_values requires start >= 1 and step >= 1")
     if x < 1:
         return iter(())
-    return _root_sieve(poly, range(start, x + 1, step), _sieve_bound(poly, x))
+    return _root_sieve(poly, [range(start, x + 1, step)], _sieve_bound(poly, x))
 
 
 def _sieve_bound(poly: QuadPoly, x: int) -> int:
@@ -323,45 +336,120 @@ def _sieve_bound(poly: QuadPoly, x: int) -> int:
     )
 
 
-def _root_sieve(poly: QuadPoly, ns: range, bound: int) -> Iterator[Factorization]:
-    # each hit (p, stride, k) is a progression of indices k, k + stride, ...
-    # whose terms ns[k] have a value divisible by p; it waits in the bucket
-    # of the segment holding its next index k, so a segment visits only the
-    # hits that fall in it
-    buckets: dict[int, list[tuple[int, int, int]]] = {}
-    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
-    for p in iter_primes(bound):
+def _progressions(
+    poly: tuple[int, int, int], p: int, ranges: list[range], content: int
+) -> list[list[tuple[int, int]]]:
+    """For each range ns of n, the (stride, k) whose indices k, k + stride, ...
+    below len(ns) are those where p divides poly(ns[k]); content is gcd(a, b, c).
+
+    The roots of poly mod p are found once for all the ranges.  A prime
+    dividing neither the step nor the content divides poly(n) exactly at
+    the roots t, so at k = (t - start) / step mod p; one dividing either
+    divides every term or none.
+    """
+    roots = _roots_mod_prime(poly, p) if content % p else ()
+    out = []
+    for ns in ranges:
         if ns.step % p and content % p:
             inv = pow(ns.step, -1, p)
-            hits = [(p, p, (t - ns.start) * inv % p) for t in _roots_mod_prime(poly, p)]
-        else:  # p divides every term or none
-            hits = [(p, 1, 0)] if _raw(poly, ns.start) % p == 0 else []
-        for hit in hits:
-            if hit[2] < len(ns):
-                buckets.setdefault(hit[2] // _SEGMENT, []).append(hit)
+            hits = [(p, (t - ns.start) * inv % p) for t in roots]
+        else:
+            hits = [(1, 0)] if _raw(poly, ns.start) % p == 0 else []
+        out.append([hit for hit in hits if hit[1] < len(ns)])
+    return out
+
+
+def _root_sieve(poly: QuadPoly, ranges: list[range], bound: int) -> Iterator[Factorization]:
+    # the factorizations of poly(n) for each n of each range in turn; each
+    # hit (p, stride, k) is a progression of indices k, k + stride, ... of
+    # one range whose terms have a value divisible by p; it waits in that
+    # range's bucket of the segment holding its next index k, so a segment
+    # visits only the hits that fall in it
+    buckets: list[dict[int, list[tuple[int, int, int]]]] = [{} for _ in ranges]
+    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
+    for p in iter_primes(bound):
+        for bucket, hits in zip(buckets, _progressions(poly, p, ranges, content)):
+            for stride, k in hits:
+                bucket.setdefault(k // _SEGMENT, []).append((p, stride, k))
     prime_below = (bound + 1) ** 2
-    for lo in range(0, len(ns), _SEGMENT):
-        values = [_raw(poly, n) for n in ns[lo : lo + _SEGMENT]]
-        rest = values[:]
-        found: list[list[tuple[int, int]]] = [[] for _ in values]
-        hi = lo + len(values)
-        for p, stride, k in buckets.pop(lo // _SEGMENT, ()):
-            for i in range(k - lo, len(values), stride):
-                r, e = rest[i] // p, 1
-                while r % p == 0:
-                    r //= p
-                    e += 1
-                rest[i] = r
-                found[i].append((p, e))
-            k += (hi - k + stride - 1) // stride * stride
-            if k < len(ns):
-                buckets.setdefault(k // _SEGMENT, []).append((p, stride, k))
-        for value, r, factors in zip(values, rest, found):
-            factors.sort()
-            if r >= prime_below:
-                exps: dict[int, int] = {}
-                _factor_into(r, exps)
-                factors.extend(sorted(exps.items()))
-            elif r > 1:
-                factors.append((r, 1))
-            yield Factorization(value, tuple(factors))
+    for ns, bucket in zip(ranges, buckets):
+        for lo in range(0, len(ns), _SEGMENT):
+            values = [_raw(poly, n) for n in ns[lo : lo + _SEGMENT]]
+            rest = values[:]
+            found: list[list[tuple[int, int]]] = [[] for _ in values]
+            hi = lo + len(values)
+            for p, stride, k in bucket.pop(lo // _SEGMENT, ()):
+                for i in range(k - lo, len(values), stride):
+                    r, e = rest[i] // p, 1
+                    while r % p == 0:
+                        r //= p
+                        e += 1
+                    rest[i] = r
+                    found[i].append((p, e))
+                k += (hi - k + stride - 1) // stride * stride
+                if k < len(ns):
+                    bucket.setdefault(k // _SEGMENT, []).append((p, stride, k))
+            for value, r, factors in zip(values, rest, found):
+                factors.sort()
+                if r >= prime_below:
+                    exps: dict[int, int] = {}
+                    _factor_into(r, exps)
+                    factors.extend(sorted(exps.items()))
+                elif r > 1:
+                    factors.append((r, 1))
+                yield Factorization(value, tuple(factors))
+
+
+def _prime_flags(poly: tuple[int, int, int], ranges: list[range], bound: int) -> list[bytearray]:
+    """For each range ns, one flag per index k: 0 when a prime p <= bound
+    divides poly(ns[k]), 1 otherwise.
+
+    So a flag 1 marks a prime wherever 1 < poly(ns[k]) < (bound + 1)^2,
+    while a value equal to some p <= bound reads 0 and must be tested
+    directly.  poly is any (a, b, c), so P + 1 may leave QuadPoly's
+    coefficient range.  Each prime zeroes the flags along its progressions
+    by slice assignment, with no value evaluated.
+    """
+    content = math.gcd(math.gcd(poly[0], poly[1]), poly[2])
+    flags = [bytearray(b"\x01") * len(ns) for ns in ranges]
+    for p in iter_primes(bound):
+        for flag, hits in zip(flags, _progressions(poly, p, ranges, content)):
+            for stride, k in hits:
+                flag[k::stride] = bytes((len(flag) - 1 - k) // stride + 1)
+    return flags
+
+
+def _prime_exponents(
+    poly: QuadPoly, ranges: list[range], marked: list[array], bound: int
+) -> list[tuple[array, array]]:
+    """For each range ns and its ascending indices ``marked``, the number of
+    primes p <= bound dividing each marked poly(ns[k]), counted with
+    multiplicity, and the part of the value they leave.
+
+    The progressions of ``_root_sieve``, walked at C speed over a mask of
+    the marked indices, so that only a marked value p divides is touched.
+    """
+    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
+    masks = []
+    out = []
+    for ns, ks in zip(ranges, marked):
+        mask = bytearray(len(ns))
+        for k in ks:
+            mask[k] = 1
+        masks.append(mask)
+        out.append((array("B", bytes(len(ks))), array("q", (_raw(poly, ns[k]) for k in ks))))
+    if not any(marked):
+        return out
+    for p in iter_primes(bound):
+        progressions = _progressions(poly, p, ranges, content)
+        for ks, mask, (counts, rests), hits in zip(marked, masks, out, progressions):
+            for stride, start in hits:
+                for k in compress(range(start, len(mask), stride), mask[start::stride]):
+                    i = bisect_left(ks, k)
+                    r, e = rests[i] // p, 1
+                    while r % p == 0:
+                        r //= p
+                        e += 1
+                    rests[i] = r
+                    counts[i] += e
+    return out

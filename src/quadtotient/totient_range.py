@@ -24,9 +24,11 @@ r / ((p - 1) p^k), k = 0, 1, ..., are read from the table until one has
 an entry below p (yes) or p no longer divides it (no).  In particular a
 value n = 2 (mod 4), such as every even value of x^2 + 1, is phi(m) only
 for m = p^(k+1) or 2 p^(k+1) with n = (p - 1) p^k.  Its largest preimage
-prime is read off its factorization with no divisor list: n + 1 when that
-is prime, else the odd prime q of n with q^e (q - 1) = n, where q^e is
-the full power of q in n, and none when neither exists.
+prime needs no divisor list: n + 1 when that is prime, else the odd prime
+q with (q - 1) q^e = n, and none when neither exists.  One value reads q
+off its factorization.  The survey of ``case_analysis`` applies the same
+rule to whole residue classes with no value factored: e = 1 is read off
+isqrt(4n + 1), and e >= 2 comes from one pass over the primes q.
 
 ``p_max`` and ``is_totient`` never list the fiber: the largest prime of
 any preimage of n is the first odd prime p, in descending order, that
@@ -198,15 +200,30 @@ def _largest_preimage_prime(n: int, factorization: Factorization | None = None) 
     if n % 2 and n > 1:
         return 0
     if n % 4 == 2:
-        # one factor 2: a preimage has one odd prime p, and n = (p - 1) p^k
-        if is_prime(n + 1):
-            return n + 1
-        # at most one q fits: two would each divide the other's q - 1
-        for q, e in (factorization or factorize(n)).factors:
-            if (q - 1) * q ** e == n:
-                return q
-        return 0
+        prime_after = is_prime(n + 1)
+        factors = () if prime_after else (factorization or factorize(n)).factors
+        power_root = next((q for q, e in factors if (q - 1) * q ** e == n), 0)
+        return _two_mod_four_prime(n, prime_after, power_root)
     return _FiberSearch(factorization or factorize(n)).largest_prime()
+
+
+def _two_mod_four_prime(n: int, prime_after: bool, power_root: int) -> int:
+    """The largest preimage prime of an n = 2 (mod 4), 0 when there is none.
+
+    With one factor 2, a preimage has one odd prime p and n = (p - 1) p^k.
+    So the answer is n + 1 when that is prime (``prime_after``), else the
+    odd prime q with (q - 1) q^e = n.  ``power_root`` is that q, or 0,
+    from a search that must cover every e >= 2; an e = 1 it leaves out is
+    read off isqrt(4n + 1), since 4 (q - 1) q + 1 = (2q - 1)^2.  At most
+    one q fits: two would each divide the other's q - 1.
+    """
+    if prime_after:
+        return n + 1
+    if power_root:
+        return power_root
+    s = math.isqrt(4 * n + 1)
+    q = (s + 1) // 2
+    return q if s * s == 4 * n + 1 and is_prime(q) else 0
 
 
 def inverse_totient(n: int) -> PreimageSet:

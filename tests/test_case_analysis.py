@@ -216,7 +216,9 @@ def test_survey_checks_case_split_before_sieving(monkeypatch, poly, t_cut, a_par
     # the root sieve is computed, so a bad argument costs nothing at any x
     calls = []
     monkeypatch.setattr(case_analysis, "_largest_value", lambda *args: calls.append(args))
-    monkeypatch.setattr(quad_poly, "_root_sieve", lambda *args: calls.append(args))
+    for module in (quad_poly, case_analysis):
+        monkeypatch.setattr(module, "_root_sieve", lambda *args: calls.append(args))
+        monkeypatch.setattr(module, "_prime_flags", lambda *args: calls.append(args))
     with pytest.raises(ValueError, match=message):
         survey(poly, 10**6, t_cut, a_param)
     assert not calls
@@ -366,8 +368,9 @@ def test_sweeps_match_per_n_recount(prime_sieve_1e6, a, b, c, x, t_cut, bound):
 
 
 def test_survey_evaluates_each_value_once(monkeypatch):
-    # the sieve's progression gives the parity of each P(n), so only
-    # classify evaluates it
+    # the range check bounds every value, so the sweep evaluates P(n) with
+    # no guard; only classify evaluates through QuadPoly.__call__, and it
+    # sees only values 0 (mod 4) and a value 1, of which x^2 + 1 has none
     calls = []
     evaluate = QuadPoly.__call__
     monkeypatch.setattr(QuadPoly, "__call__", lambda poly, n: calls.append(n) or evaluate(poly, n))
@@ -383,3 +386,97 @@ def test_always_odd_survey_does_no_primality_work(monkeypatch):
     monkeypatch.setattr(arith_core, "_brent_rho", lambda n: calls.append(n))
     report = survey(QuadPoly(1, 1, 10**9 + 7), 3000, 50.0, 0.76)
     assert report.nontotient == 3000 and not calls
+
+
+def _per_n_report(poly, x, t_cut, a_param):
+    """The report of a survey made by one classify call per n, the oracle."""
+    records = tuple(classify(poly, n, x, t_cut, a_param) for n in range(1, x + 1))
+    tallies = {case: sum(r.case is case for r in records) for case in Case}
+    v1, v2, v3 = tallies[Case.CASE1], tallies[Case.CASE2], tallies[Case.CASE3]
+    smallp = tallies[Case.SMALL_P]
+    return case_analysis.CaseReport(
+        poly, x, t_cut, a_param, v1 + v2 + v3 + smallp, v1, v2, v3, smallp,
+        tallies[Case.NOT_TOTIENT], records,
+    )
+
+
+def _has_two_mod_four_class(poly):
+    return any(poly(r) % 4 == 2 for r in (1, 2, 3, 4))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(st.integers(1, 8), st.integers(1, 2**21)),
+    st.integers(-2**16, 2**16),
+    st.one_of(st.integers(-50, 50), st.integers(1, 2**31)),
+    st.integers(1, 400),
+    st.one_of(st.floats(2.8, 200.0), st.floats(200.0, 1e9)),
+    st.floats(0.51, 0.99),
+)
+def test_survey_matches_per_n_classify(a, b, c, x, t_cut, a_param):
+    # whole reports, records included: the class path (flag sieve or one
+    # primality test per value, the power pass, the Omega_T sieve) against
+    # classify on each n
+    poly = QuadPoly(a, b, c)
+    assume(_has_two_mod_four_class(poly))
+    assume(min(poly(n) for n in range(1, x + 1)) >= 1)
+    assume(max(poly(1), poly(x)) <= 2**50)
+    assert survey(poly, x, t_cut, a_param, keep_records=True) == _per_n_report(
+        poly, x, t_cut, a_param
+    )
+
+
+@pytest.mark.parametrize(
+    "poly, x, t_cut",
+    [
+        (QuadPoly(1, 1, 2**31), 300, 50.0),  # P + 1 leaves QuadPoly's coefficient range
+        (QuadPoly(1, -2, 2), 100, 50.0),  # P(1) = 1
+        (QuadPoly(1, 0, 5), 100, 50.0),  # P(17) = 294 = 6 * 7^2, and 295 is composite
+        (QuadPoly(1, -60, 905), 100, 50.0),  # P(13) = P(47) = 294, either side of the vertex
+        (QuadPoly(1, 0, 1), 400, 50.0),  # v + 1 = 3 and 11 are sieving primes of P + 1
+        (QuadPoly(1, 0, 1), 3, 50.0),  # v + 1 = 3 is the sieve bound itself
+        (QuadPoly(3, 3, 2), 300, 50.0),  # P + 1 has the content 3: no v + 1 is prime
+        (QuadPoly(4, 0, 2), 300, 20.0),  # every value 2 (mod 4): one class of step 1
+        (QuadPoly(2097151, 1, 2), 200, 1000.0),  # one primality test per value
+        (QuadPoly(1, 0, 1), 300, 1e9),  # T past the sieve bound: rests are factored
+    ],
+    ids=["c=2^31", "P(1)=1", "x^2+5", "vertex-inside", "x^2+1", "x^2+1-x=3", "content-3",
+         "step-1", "per-value", "T-large"],
+)
+def test_survey_pinned_families_match_per_n_classify(poly, x, t_cut):
+    assert survey(poly, x, t_cut, 0.76, keep_records=True) == _per_n_report(poly, x, t_cut, 0.76)
+
+
+def test_survey_two_mod_four_worked_records():
+    records = survey(QuadPoly(1, 0, 5), 20, 50.0, 0.76, keep_records=True).records
+    assert records[16] == classify(QuadPoly(1, 0, 5), 17, 20, 50.0, 0.76)
+    assert records[16].row() == (17, 294, "SmallP", 7, 49, 2)
+    # x^2 + 1 is sieved: 3 and 11 strike their own v + 1 at n = 1 and 3
+    poly = QuadPoly(1, 0, 1)
+    assert math.isqrt(poly(400) + 1) <= case_analysis._SIEVE_REACH * 400
+    records = survey(poly, 400, 50.0, 0.76, keep_records=True).records
+    assert (records[0].p_max, records[2].p_max) == (3, 11)
+
+
+@pytest.mark.parametrize(
+    "poly, x",
+    [(QuadPoly(1, 0, 1), 3000), (QuadPoly(1, 1, 2), 2000), (QuadPoly(2097151, 1, 2), 300)],
+    ids=["x^2+1", "x^2+x+2", "2097151x^2+x+2"],
+)
+def test_flag_sieve_and_per_value_tests_agree(monkeypatch, poly, x):
+    # the reach decides between the two paths; force each in turn
+    reports = []
+    for reach in (0, 10**9):
+        monkeypatch.setattr(case_analysis, "_SIEVE_REACH", reach)
+        reports.append(survey(poly, x, 50.0, 0.76, keep_records=True))
+    assert reports[0] == reports[1]
+
+
+def test_two_mod_four_class_goes_without_factoring_or_classify(monkeypatch):
+    # x^2 + 1: odd values and values 2 (mod 4) only
+    calls = []
+    monkeypatch.setattr(case_analysis, "classify", lambda *args: calls.append(args))
+    monkeypatch.setattr(case_analysis, "factorize", calls.append)
+    monkeypatch.setattr(arith_core, "_brent_rho", calls.append)
+    report = survey(P, 3000, 50.0, 0.76, keep_records=True)
+    assert not calls and report.v_p == 155

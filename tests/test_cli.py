@@ -79,6 +79,23 @@ def test_survey_json_records(capsys):
     }
 
 
+def test_survey_records_streamed_as_json_dumps_prints_them(tmp_path, capsys):
+    # the records are rendered row by row; the bytes are those of one
+    # json.dumps(indent=2) of the summary with a dict per row
+    from quadtotient import QuadPoly, survey
+
+    args = ["survey", "--poly=1,-2,2", "--x", "40", "--T", "5.5", "--A", "0.7"]
+    report = survey(QuadPoly(1, -2, 2), 40, 5.5, 0.7, keep_records=True)
+    keys = "n,value,case,p_max,v,omega_T_pm1".split(",")
+    document = report.summary_dict()
+    document["records"] = [dict(zip(keys, record.row())) for record in report.records]
+    expected = json.dumps(document, indent=2) + "\n"
+    assert run_cli([*args, "--records"], capsys) == (0, expected, "")
+    target = tmp_path / "records.json"
+    assert run_cli([*args, "--records", "--out", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == expected
+
+
 def test_survey_rejects_reducible(capsys):
     code, out, err = run_cli(["survey", "--poly", "2,3,1", "--x", "10"], capsys)
     assert code == 2
