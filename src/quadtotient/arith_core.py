@@ -163,8 +163,6 @@ def _brent_rho(n: int) -> int:
 
 
 def _factor_into(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return

@@ -12,7 +12,7 @@ factor each value at most once, by the root sieve of ``quad_poly``, and
 trial-divide none.  ``survey`` takes one residue class of n mod 4 at a
 time: P(n) mod 4 follows n mod 4, so each class's residue is read off
 P(1), ..., P(4).
-- Odd values above 1 are nontotients and are only counted; a value 1
+- Odd values above 1 are nontotients and are skipped; a value 1
   (phi(1) = phi(2) = 1) goes to ``classify``, which puts it in SmallP.
 - A value v = 2 (mod 4) is phi(m) only as v = (p - 1) p^k, so p_max is
   v + 1 when that is prime, else the odd prime q with (q - 1) q^e = v,
@@ -22,10 +22,10 @@ P(1), ..., P(4).
   one primality test per value where isqrt(max P + 1) lies past the root
   sieve's reach of x; e = 1 is read off isqrt(4v + 1); e >= 2 comes from
   one pass over the primes q = 3 (mod 4) with (q - 1) q^2 <= max P, each
-  (q, e) solved for n by the discriminant.  Omega_T(p_max - 1) comes from
-  a root sieve over the primes below T at the totient values alone; with
-  T above the root sieve's bound, what that sieve leaves of each totient
-  value is factored.
+  (q, e) solved for n by the discriminant.  Omega_T(p_max - 1) is, for
+  p_max = v + 1, counted by a root sieve over the primes below T at the
+  totient values alone, and by ``big_omega_below`` of what it leaves when
+  T is past the sieve's bound; for p_max = q it is ``big_omega_below``'s.
 - Values 0 (mod 4) are factored by one root sieve, which finds each
   prime's roots once for all their classes, and handed to ``classify``.
 The range check evaluates P at 1, x and the integers next to the vertex,
@@ -33,8 +33,8 @@ which bounds every value, so the sweep evaluates P(n) with no range
 guard; only ``classify`` evaluates a value again through the guard, and
 it sees only the values 0 (mod 4) and a value 1.
 
-``ew_density_probe`` factors only the n whose value is even, read off
-n mod 2 after P(1) and P(2).  An odd value has only odd divisors d, and
+``ew_density_probe`` factors only the n whose value is even, the classes
+of P(n) = 0 or 2 (mod 4).  An odd value has only odd divisors d, and
 d + 1 is an odd prime only for even d, so the probe counts it only
 through p = 2, that is exactly when T < 2, when every n counts.
 """
@@ -47,7 +47,7 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arith_core import Factorization, _Record, factorize, is_prime, iter_primes
+from .arith_core import Factorization, _Record, big_omega_below, factorize, is_prime, iter_primes
 from .quad_poly import (
     _SIEVE_REACH,
     QuadPoly,
@@ -271,11 +271,11 @@ def _two_mod_four_totients(
     A composite v + 1 <= top + 1 has a prime factor at most isqrt(top + 1):
     where those primes are within the root sieve's reach of x, the primes
     v + 1 are flagged by a root sieve of P + 1; otherwise each v + 1 takes
-    one primality test.  Omega_T(p_max - 1) comes from Omega_T(v), counted
-    by a root sieve over the primes below T at the totient n alone.  Primes
-    below T past the bound, which only a T above it asks for, come from
-    factoring what the sieve leaves.  When p_max = q with (q - 1) q^e = v,
-    the e factors q are taken back out.
+    one primality test.  When p_max = v + 1, Omega_T(p_max - 1) is
+    Omega_T(v), counted by a root sieve over the primes below T at the
+    totient n alone; primes below T past the bound, which only a T above it
+    asks for, come from ``big_omega_below`` of what the sieve leaves.  When
+    p_max = q with (q - 1) q^e = v, Omega_T(q - 1) is ``big_omega_below``'s.
     """
     a, b, c = poly
     root_bound = math.isqrt(top + 1)
@@ -304,13 +304,10 @@ def _two_mod_four_totients(
         for k, pm, omega, rest in zip(ks, pms, counts, rests):
             n = ns[k]
             value = _raw(poly, n)
-            if partial and rest > 1:
-                omega += sum(e for q, e in factorize(rest).factors if q < t_cut)
-            if pm != value + 1 and pm < t_cut:
-                power = value // (pm - 1)
-                while power > 1:
-                    power //= pm
-                    omega -= 1
+            if pm != value + 1:  # (pm - 1) pm^e = value
+                omega = big_omega_below(pm - 1, t_cut)
+            elif partial and rest > 1:
+                omega += big_omega_below(rest, t_cut)
             yield _totient_record(poly, n, x, t_cut, a_param, value, pm, omega)
 
 
@@ -324,7 +321,7 @@ def survey(
     """Classify every n in [1, x] and tally the cases.
 
     After every argument check, the n are taken one residue class mod 4 at
-    a time, as the module docstring says: odd values are counted, values
+    a time, as the module docstring says: odd values are skipped, values
     2 (mod 4) are decided by their class with no value factored, and values
     0 (mod 4) are factored by one root sieve and handed to ``classify``.
     """
@@ -342,29 +339,13 @@ def survey(
         if records is not None:
             records[record.n - 1] = record
 
-    def nontotient(ranges: list[range]) -> None:
-        # every n of the ranges, until a totient record takes its place
-        for ns in ranges:
-            tallies[Case.NOT_TOTIENT] += len(ns)
-            if records is not None:
-                for n in ns:
-                    records[n - 1] = CaseRecord(
-                        n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT
-                    )
-
-    def totient(record: CaseRecord) -> None:
-        tallies[Case.NOT_TOTIENT] -= 1
-        keep(record)
-
-    nontotient(_classes(poly, x, (1, 3)))  # phi(m) is even for every m > 2
-    for n in _ones(poly, x):  # but phi(1) = phi(2) = 1
-        totient(classify(poly, n, x, t_cut, a_param))
+    for n in _ones(poly, x):  # phi(m) is even for every m > 2, but phi(1) = phi(2) = 1
+        keep(classify(poly, n, x, t_cut, a_param))
     bound = _sieve_bound(poly, x)
     ranges = _classes(poly, x, (2,))
-    nontotient(ranges)
     if ranges:
         for record in _two_mod_four_totients(poly, ranges, x, t_cut, a_param, top, bound):
-            totient(record)
+            keep(record)
     ranges = _classes(poly, x, (0,))
     sieve = _root_sieve(poly, ranges, bound)  # a generator: no work without a range
     for ns in ranges:
@@ -373,18 +354,23 @@ def survey(
 
     v1, v2, v3 = tallies[Case.CASE1], tallies[Case.CASE2], tallies[Case.CASE3]
     smallp = tallies[Case.SMALL_P]
+    v_p = v1 + v2 + v3 + smallp
     return CaseReport(
         poly=poly,
         x=x,
         T=t_cut,
         A=a_param,
-        v_p=v1 + v2 + v3 + smallp,
+        v_p=v_p,
         v1=v1,
         v2=v2,
         v3=v3,
         smallp=smallp,
-        nontotient=tallies[Case.NOT_TOTIENT],
-        records=tuple(records) if keep_records else None,
+        nontotient=x - v_p,
+        # every n that has no record yet is NotTotient
+        records=None if records is None else tuple(
+            record or CaseRecord(n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT)
+            for n, record in enumerate(records, 1)
+        ),
     )
 
 
@@ -411,11 +397,9 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     # p = 2, which clears the cutoff exactly when T < 2, for every value
     if t_cut < 2:
         return Fraction(1)
-    # P(n) mod 2 follows n mod 2: the even values sit at every n, at one
-    # residue class mod 2, or nowhere
-    even = [n for n in (1, 2) if poly(n) % 2 == 0]
     count = sum(
         any(d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors())
-        for factorization in (factor_values(poly, x, even[0], 3 - len(even)) if even else ())
+        for ns in _classes(poly, x, (0, 2))  # the even values: every n, one class mod 2, or none
+        for factorization in factor_values(poly, x, ns.start, ns.step)
     )
     return Fraction(count, x)

@@ -20,7 +20,7 @@ import json
 import math
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain
+from itertools import chain, islice
 
 from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import (
@@ -187,13 +187,15 @@ class _ArgumentError(ValueError):
 
 
 def _emit(text: str | Iterable[str], out: str) -> None:
-    """Write a renderer's output: one string, or an iterable of its pieces."""
-    pieces = [text] if isinstance(text, str) else text
+    """Write a renderer's output: one string, or an iterable of its pieces,
+    joined 4096 at a time (unbuffered, as under -u, stdout pays per write)."""
+    pieces = iter([text] if isinstance(text, str) else text)
+    chunks = map("".join, iter(lambda: list(islice(pieces, 4096)), []))
     if out == "-":
-        sys.stdout.writelines(pieces)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.writelines(pieces)
+            handle.writelines(chunks)
 
 
 def _json_line(value, indent: int | None = None) -> str:
@@ -258,8 +260,8 @@ def _survey(args: argparse.Namespace) -> str | Iterator[str]:
         )
     keep = args.records or args.format == "csv"
     report = survey(args.poly, args.x, t_cut, args.A, keep_records=keep)
-    if args.format == "csv":
-        return report.to_csv()
+    if args.format == "csv":  # the bytes of report.to_csv(), made one row at a time
+        return chain((CSV_HEADER + "\n",), (record.csv_row() + "\n" for record in report.records))
     summary = _json_line(report.summary_dict(), indent=2)
     if not args.records:
         return summary

@@ -439,9 +439,13 @@ def test_survey_matches_per_n_classify(a, b, c, x, t_cut, a_param):
         (QuadPoly(4, 0, 2), 300, 20.0),  # every value 2 (mod 4): one class of step 1
         (QuadPoly(2097151, 1, 2), 200, 1000.0),  # one primality test per value
         (QuadPoly(1, 0, 1), 300, 1e9),  # T past the sieve bound: rests are factored
+        # n(n + 1) = (q - 1) q for q = n + 1: p_max = q by the e = 1 read, q on
+        # both sides of T
+        (QuadPoly(1, 1, 0), 3000, 50.0),
+        (QuadPoly(1, 1, 0), 3000, 5.0),
     ],
     ids=["c=2^31", "P(1)=1", "x^2+5", "vertex-inside", "x^2+1", "x^2+1-x=3", "content-3",
-         "step-1", "per-value", "T-large"],
+         "step-1", "per-value", "T-large", "n(n+1)", "n(n+1)-T=5"],
 )
 def test_survey_pinned_families_match_per_n_classify(poly, x, t_cut):
     assert survey(poly, x, t_cut, 0.76, keep_records=True) == _per_n_report(poly, x, t_cut, 0.76)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from quadtotient.cli import _CONFIG_KEYS, _read_config, build_parser, main, run
+from quadtotient.cli import _CONFIG_KEYS, _emit, _read_config, build_parser, main, run
 
 SURVEY_CSV = """n,value,case,p_max,v,omega_T_pm1
 1,2,SmallP,3,1,1
@@ -94,6 +94,37 @@ def test_survey_records_streamed_as_json_dumps_prints_them(tmp_path, capsys):
     target = tmp_path / "records.json"
     assert run_cli([*args, "--records", "--out", str(target)], capsys) == (0, "", "")
     assert target.read_text() == expected
+
+
+def test_survey_csv_streamed_as_to_csv_prints_it(tmp_path, capsys):
+    # the renderer yields the rows one at a time, with no document held
+    # whole; the bytes are those of CaseReport.to_csv
+    from collections.abc import Iterator
+
+    from quadtotient import QuadPoly, survey
+
+    argv = ["survey", "--poly=1,1,0", "--x", "300", "--T", "5", "--A", "0.7",
+            "--format", "csv", "--allow-reducible"]
+    args = build_parser().parse_args(argv)
+    rendered = args.render(args)
+    assert isinstance(rendered, Iterator) and not isinstance(rendered, str)
+    expected = survey(QuadPoly(1, 1, 0), 300, 5.0, 0.7, keep_records=True).to_csv()
+    assert "".join(rendered) == expected
+    assert run_cli(argv, capsys) == (0, expected, "")
+    target = tmp_path / "survey.csv"
+    assert run_cli([*argv, "--out", str(target)], capsys) == (0, "", "")
+    assert target.read_text() == expected
+
+
+def test_emit_writes_every_piece_across_batches(tmp_path, capsys):
+    # the pieces are joined a batch at a time; an empty piece ends nothing
+    pieces = [f"{i}\n" for i in range(10000)] + ["", "end"]
+    target = tmp_path / "out.txt"
+    _emit(iter(pieces), str(target))
+    assert target.read_text() == "".join(pieces)
+    _emit(iter(pieces), "-")
+    _emit("one string", "-")
+    assert capsys.readouterr().out == "".join(pieces) + "one string"
 
 
 def test_survey_rejects_reducible(capsys):
