@@ -4,8 +4,9 @@ For each n <= x with P(n) a totient value, the largest prime p dividing
 any preimage of P(n) sorts n into one of four bins: p > 4ax (a huge
 prime-minus-one divisor), p <= T (only small primes), or the middle range
 T < p <= 4ax split by whether Omega_T(p - 1) clears A * loglog T.
-``survey`` aggregates the bins over a full range; the report serializes
-to CSV (one row per n) or a JSON summary.
+``survey`` aggregates the bins over a full range and keeps only the
+totient records, which are rare: every other n is NotTotient, and its CSV
+row or record is made from n alone as it is written.
 
 The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
 factor each value at most once, by the root sieve of ``quad_poly``, and
@@ -42,10 +43,11 @@ through p = 2, that is exactly when T < 2, when every n counts.
 from __future__ import annotations
 
 import enum
+import json
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 
 from .arith_core import Factorization, _Record, big_omega_below, factorize, is_prime, iter_primes
 from .quad_poly import (
@@ -108,9 +110,7 @@ class CaseReport(
     def to_csv(self) -> str:
         if self.records is None:
             raise ValueError("survey was run without keep_records")
-        lines = [CSV_HEADER]
-        lines.extend(record.csv_row() for record in self.records)
-        return "\n".join(lines) + "\n"
+        return "".join(_csv_lines(self.records))
 
     def summary_dict(self) -> dict:
         return {
@@ -125,6 +125,27 @@ class CaseReport(
             "smallp": self.smallp,
             "nontotient": self.nontotient,
         }
+
+
+def _csv_lines(records: Iterable[CaseRecord]) -> Iterator[str]:
+    """The CSV table of ``records``, one line per piece, the header first."""
+    yield CSV_HEADER + "\n"
+    for record in records:
+        yield record.csv_row() + "\n"
+
+
+def _json_records(records: Iterable[CaseRecord]) -> Iterator[str]:
+    """Each record as the object, keyed by the CSV columns, that json.dumps(indent=2)
+    prints for it in the summary, with the separator before all but the first."""
+    fields = ",\n".join(f'      "{key}": {{}}' for key in CSV_HEADER.split(","))
+    layout = "    {{\n" + fields + "\n    }}"
+    separator = ""
+    for record in records:
+        yield separator + layout.format(
+            *("null" if f is None else json.dumps(f) if isinstance(f, str) else f
+              for f in record.row())
+        )
+        separator = ",\n"
 
 
 def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
@@ -277,6 +298,8 @@ def _two_mod_four_totients(
     asks for, come from ``big_omega_below`` of what the sieve leaves.  When
     p_max = q with (q - 1) q^e = v, Omega_T(q - 1) is ``big_omega_below``'s.
     """
+    if not ranges:  # no value is 2 (mod 4): nothing to sieve
+        return
     a, b, c = poly
     root_bound = math.isqrt(top + 1)
     if root_bound <= _SIEVE_REACH * x:
@@ -311,19 +334,16 @@ def _two_mod_four_totients(
             yield _totient_record(poly, n, x, t_cut, a_param, value, pm, omega)
 
 
-def survey(
-    poly: QuadPoly,
-    x: int,
-    t_cut: float,
-    a_param: float,
-    keep_records: bool = False,
-) -> CaseReport:
-    """Classify every n in [1, x] and tally the cases.
+def _sweep(
+    poly: QuadPoly, x: int, t_cut: float, a_param: float, rows: bool
+) -> tuple[CaseReport, Iterator[CaseRecord] | None]:
+    """The report of ``survey`` without records and, when ``rows`` is set,
+    a generator of the record of each n <= x in order.
 
     After every argument check, the n are taken one residue class mod 4 at
-    a time, as the module docstring says: odd values are skipped, values
-    2 (mod 4) are decided by their class with no value factored, and values
-    0 (mod 4) are factored by one root sieve and handed to ``classify``.
+    a time, as the module docstring says.  Only the totient records are
+    kept: every other n is NotTotient, and the generator makes its record
+    from n alone when it is read.
     """
     if x < 1:
         raise ValueError("survey requires x >= 1")
@@ -332,46 +352,42 @@ def survey(
     if top > PREIMAGE_INPUT_LIMIT:
         raise ValueError(f"P(n) for some n <= {x} exceeds the preimage limit 2^50")
     tallies = {case: 0 for case in Case}
-    records: list[CaseRecord] | None = [None] * x if keep_records else None
+    found: dict[int, CaseRecord] = {}  # the totient records, by n
 
     def keep(record: CaseRecord) -> None:
         tallies[record.case] += 1
-        if records is not None:
-            records[record.n - 1] = record
+        if rows and record.totient:
+            found[record.n] = record
 
     for n in _ones(poly, x):  # phi(m) is even for every m > 2, but phi(1) = phi(2) = 1
         keep(classify(poly, n, x, t_cut, a_param))
     bound = _sieve_bound(poly, x)
     ranges = _classes(poly, x, (2,))
-    if ranges:
-        for record in _two_mod_four_totients(poly, ranges, x, t_cut, a_param, top, bound):
-            keep(record)
+    for record in _two_mod_four_totients(poly, ranges, x, t_cut, a_param, top, bound):
+        keep(record)
     ranges = _classes(poly, x, (0,))
     sieve = _root_sieve(poly, ranges, bound)  # a generator: no work without a range
     for ns in ranges:
         for n in ns:
             keep(classify(poly, n, x, t_cut, a_param, next(sieve)))
 
-    v1, v2, v3 = tallies[Case.CASE1], tallies[Case.CASE2], tallies[Case.CASE3]
-    smallp = tallies[Case.SMALL_P]
+    v1, v2, v3, smallp = (tallies[c] for c in (Case.CASE1, Case.CASE2, Case.CASE3, Case.SMALL_P))
     v_p = v1 + v2 + v3 + smallp
-    return CaseReport(
-        poly=poly,
-        x=x,
-        T=t_cut,
-        A=a_param,
-        v_p=v_p,
-        v1=v1,
-        v2=v2,
-        v3=v3,
-        smallp=smallp,
-        nontotient=x - v_p,
-        # every n that has no record yet is NotTotient
-        records=None if records is None else tuple(
-            record or CaseRecord(n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT)
-            for n, record in enumerate(records, 1)
-        ),
+    report = CaseReport(poly, x, t_cut, a_param, v_p, v1, v2, v3, smallp, x - v_p)
+    if not rows:
+        return report, None
+    return report, (
+        found.get(n) or CaseRecord(n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT)
+        for n in range(1, x + 1)
     )
+
+
+def survey(
+    poly: QuadPoly, x: int, t_cut: float, a_param: float, keep_records: bool = False
+) -> CaseReport:
+    """Classify every n in [1, x] and tally the cases, with each n's record if keep_records."""
+    report, rows = _sweep(poly, x, t_cut, a_param, keep_records)
+    return report if rows is None else report._replace(records=tuple(rows))
 
 
 def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:

@@ -24,7 +24,8 @@ from itertools import chain, islice
 
 from .bound_lab import bounds_summary, split_and_twisted
 from .case_analysis import (
-    CSV_HEADER, _check_case_split, ew_density_probe, square_divisor_count, survey, threshold_T
+    _check_case_split, _csv_lines, _json_records, _sweep, ew_density_probe, square_divisor_count,
+    threshold_T,
 )
 from .quad_poly import QuadPoly, rho
 from .totient_range import inverse_totient
@@ -258,31 +259,17 @@ def _survey(args: argparse.Namespace) -> str | Iterator[str]:
             f"{args.poly.to_text()} is reducible (square discriminant "
             f"{args.poly.discriminant()}); pass --allow-reducible to proceed"
         )
-    keep = args.records or args.format == "csv"
-    report = survey(args.poly, args.x, t_cut, args.A, keep_records=keep)
-    if args.format == "csv":  # the bytes of report.to_csv(), made one row at a time
-        return chain((CSV_HEADER + "\n",), (record.csv_row() + "\n" for record in report.records))
+    # the sweep ends here, before any byte is written; only NotTotient rows are made later
+    report, rows = _sweep(args.poly, args.x, t_cut, args.A, args.records or args.format == "csv")
+    if args.format == "csv":  # the bytes of report.to_csv()
+        return _csv_lines(rows)
     summary = _json_line(report.summary_dict(), indent=2)
     if not args.records:
         return summary
     # the bytes of json.dumps(indent=2) with the records listed last, made
     # one row at a time: no dict per row, and no document held whole
     head = summary[: -len("\n}\n")] + ',\n  "records": [\n'
-    return chain((head,), _json_records(report.records), ("\n  ]\n}\n",))
-
-
-def _json_records(records) -> Iterator[str]:
-    """Each record as the object json.dumps(indent=2) prints for it inside
-    the summary, with the separator before all but the first."""
-    fields = ",\n".join(f'      "{key}": {{}}' for key in CSV_HEADER.split(","))
-    layout = "    {{\n" + fields + "\n    }}"
-    separator = ""
-    for record in records:
-        yield separator + layout.format(
-            *("null" if f is None else json.dumps(f) if isinstance(f, str) else f
-              for f in record.row())
-        )
-        separator = ",\n"
+    return chain((head,), _json_records(rows), ("\n  ]\n}\n",))
 
 
 def _bounds(args: argparse.Namespace) -> str:

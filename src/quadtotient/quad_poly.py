@@ -40,12 +40,12 @@ progression waits in the bucket of the segment holding its next term, so
 a segment visits only the primes that divide some value in it; the root
 lists of all primes up to B are kept.  The sieve runs over one or more
 progressions of n with one step, finding each prime's roots once for all
-of them.  Two lighter sieves walk the same root progressions, through
-one shared helper: one flags the values with no prime factor up to a
-bound, by slice assignment into a bytearray, and one counts the prime
-factors up to a bound of chosen values only, walking a bytearray mask of
-them at C speed.  ``case_analysis.survey`` runs them on P + 1 (whose
-constant may pass 2^31, so they take any coefficient triple) and on P.
+of them, by one walk over the primes that two lighter whole-range sieves
+share: one flags the values with no prime factor up to a bound, by slice
+assignment into a bytearray, and one counts the prime factors up to a
+bound of chosen values only, walking a bytearray mask of them at C
+speed.  ``case_analysis.survey`` runs them on P + 1 (whose constant may
+pass 2^31, so they take any coefficient triple) and on P.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .arith_core import (
     INPUT_LIMIT,
     Factorization,
     _Record,
+    _check_limit,
     _factor_into,
     factorize,
     is_prime,
@@ -254,6 +255,7 @@ def rho(poly: QuadPoly, k: int) -> int:
     """Root count of poly modulo k; multiplicative in k, with rho(1) = 1."""
     if k < 1:
         raise ValueError("modulus must be positive")
+    _check_limit(k, "k")
     out = 1
     for p, e in factorize(k).factors:  # proved prime: lift at once
         s, roots = _lift(poly, p, e)
@@ -271,6 +273,7 @@ def roots_mod(poly: QuadPoly, v: int) -> list[int]:
     """
     if v < 1:
         raise ValueError("modulus must be positive")
+    _check_limit(v, "v")
     parts = []
     for p, e in factorize(v).factors:  # proved prime: lift at once
         rs = _spread(p, e, *_lift(poly, p, e))
@@ -336,27 +339,29 @@ def _sieve_bound(poly: QuadPoly, x: int) -> int:
     )
 
 
-def _progressions(
-    poly: tuple[int, int, int], p: int, ranges: list[range], content: int
-) -> list[list[tuple[int, int]]]:
-    """For each range ns of n, the (stride, k) whose indices k, k + stride, ...
-    below len(ns) are those where p divides poly(ns[k]); content is gcd(a, b, c).
+def _hits(
+    poly: tuple[int, int, int], ranges: list[range], bound: int
+) -> Iterator[tuple[int, int, int, int]]:
+    """(j, p, stride, k) for each prime p <= bound and each progression of
+    indices k, k + stride, ... below len(ranges[j]) at which p divides
+    poly(ranges[j][k]): the one walk of the three sieves below.
 
     The roots of poly mod p are found once for all the ranges.  A prime
-    dividing neither the step nor the content divides poly(n) exactly at
-    the roots t, so at k = (t - start) / step mod p; one dividing either
-    divides every term or none.
+    dividing neither the step nor the content gcd(a, b, c) divides poly(n)
+    exactly at the roots t, so at k = (t - start) / step mod p; one
+    dividing either divides every term or none.
     """
-    roots = _roots_mod_prime(poly, p) if content % p else ()
-    out = []
-    for ns in ranges:
-        if ns.step % p and content % p:
-            inv = pow(ns.step, -1, p)
-            hits = [(p, (t - ns.start) * inv % p) for t in roots]
-        else:
-            hits = [(1, 0)] if _raw(poly, ns.start) % p == 0 else []
-        out.append([hit for hit in hits if hit[1] < len(ns)])
-    return out
+    content = math.gcd(math.gcd(poly[0], poly[1]), poly[2])
+    for p in iter_primes(bound):
+        roots = _roots_mod_prime(poly, p) if content % p else ()
+        for j, ns in enumerate(ranges):
+            if ns.step % p and content % p:
+                inv = pow(ns.step, -1, p)
+                for t in roots:
+                    if (k := (t - ns.start) * inv % p) < len(ns):
+                        yield j, p, p, k
+            elif ns and _raw(poly, ns.start) % p == 0:
+                yield j, p, 1, 0
 
 
 def _root_sieve(poly: QuadPoly, ranges: list[range], bound: int) -> Iterator[Factorization]:
@@ -366,11 +371,8 @@ def _root_sieve(poly: QuadPoly, ranges: list[range], bound: int) -> Iterator[Fac
     # range's bucket of the segment holding its next index k, so a segment
     # visits only the hits that fall in it
     buckets: list[dict[int, list[tuple[int, int, int]]]] = [{} for _ in ranges]
-    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
-    for p in iter_primes(bound):
-        for bucket, hits in zip(buckets, _progressions(poly, p, ranges, content)):
-            for stride, k in hits:
-                bucket.setdefault(k // _SEGMENT, []).append((p, stride, k))
+    for j, p, stride, k in _hits(poly, ranges, bound):
+        buckets[j].setdefault(k // _SEGMENT, []).append((p, stride, k))
     prime_below = (bound + 1) ** 2
     for ns, bucket in zip(ranges, buckets):
         for lo in range(0, len(ns), _SEGMENT):
@@ -410,12 +412,10 @@ def _prime_flags(poly: tuple[int, int, int], ranges: list[range], bound: int) ->
     coefficient range.  Each prime zeroes the flags along its progressions
     by slice assignment, with no value evaluated.
     """
-    content = math.gcd(math.gcd(poly[0], poly[1]), poly[2])
     flags = [bytearray(b"\x01") * len(ns) for ns in ranges]
-    for p in iter_primes(bound):
-        for flag, hits in zip(flags, _progressions(poly, p, ranges, content)):
-            for stride, k in hits:
-                flag[k::stride] = bytes((len(flag) - 1 - k) // stride + 1)
+    for j, _, stride, k in _hits(poly, ranges, bound):
+        flag = flags[j]
+        flag[k::stride] = bytes((len(flag) - 1 - k) // stride + 1)
     return flags
 
 
@@ -426,12 +426,10 @@ def _prime_exponents(
     primes p <= bound dividing each marked poly(ns[k]), counted with
     multiplicity, and the part of the value they leave.
 
-    The progressions of ``_root_sieve``, walked at C speed over a mask of
-    the marked indices, so that only a marked value p divides is touched.
+    The progressions of ``_hits``, walked at C speed over a mask of the
+    marked indices, so that only a marked value p divides is touched.
     """
-    content = math.gcd(math.gcd(poly.a, poly.b), poly.c)
-    masks = []
-    out = []
+    masks, out = [], []
     for ns, ks in zip(ranges, marked):
         mask = bytearray(len(ns))
         for k in ks:
@@ -440,16 +438,14 @@ def _prime_exponents(
         out.append((array("B", bytes(len(ks))), array("q", (_raw(poly, ns[k]) for k in ks))))
     if not any(marked):
         return out
-    for p in iter_primes(bound):
-        progressions = _progressions(poly, p, ranges, content)
-        for ks, mask, (counts, rests), hits in zip(marked, masks, out, progressions):
-            for stride, start in hits:
-                for k in compress(range(start, len(mask), stride), mask[start::stride]):
-                    i = bisect_left(ks, k)
-                    r, e = rests[i] // p, 1
-                    while r % p == 0:
-                        r //= p
-                        e += 1
-                    rests[i] = r
-                    counts[i] += e
+    for j, p, stride, start in _hits(poly, ranges, bound):
+        ks, mask, (counts, rests) = marked[j], masks[j], out[j]
+        for k in compress(range(start, len(mask), stride), mask[start::stride]):
+            i = bisect_left(ks, k)
+            r, e = rests[i] // p, 1
+            while r % p == 0:
+                r //= p
+                e += 1
+            rests[i] = r
+            counts[i] += e
     return out

@@ -443,9 +443,13 @@ def test_survey_matches_per_n_classify(a, b, c, x, t_cut, a_param):
         # both sides of T
         (QuadPoly(1, 1, 0), 3000, 50.0),
         (QuadPoly(1, 1, 0), 3000, 5.0),
+        # the rows are derived from the totient records: here every n has
+        # one, n = 1 and n = x included; and here none, every row is derived
+        (QuadPoly(5040, 0, 5040), 300, 50.0),
+        (QuadPoly(1, 1, 1), 300, 50.0),
     ],
     ids=["c=2^31", "P(1)=1", "x^2+5", "vertex-inside", "x^2+1", "x^2+1-x=3", "content-3",
-         "step-1", "per-value", "T-large", "n(n+1)", "n(n+1)-T=5"],
+         "step-1", "per-value", "T-large", "n(n+1)", "n(n+1)-T=5", "all-totient", "all-odd"],
 )
 def test_survey_pinned_families_match_per_n_classify(poly, x, t_cut):
     assert survey(poly, x, t_cut, 0.76, keep_records=True) == _per_n_report(poly, x, t_cut, 0.76)

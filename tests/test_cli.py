@@ -116,6 +116,23 @@ def test_survey_csv_streamed_as_to_csv_prints_it(tmp_path, capsys):
     assert target.read_text() == expected
 
 
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--records"]], ids=["csv", "records"])
+def test_survey_rows_hold_no_list_of_x_records(flag):
+    # only the totient records are held; every NotTotient row is made as it
+    # is read (a tuple of the 30,000 records alone takes about 5 MB)
+    import tracemalloc
+
+    args = build_parser().parse_args(["survey", "--poly=1,0,1", "--x", "30000", "--T", "50", *flag])
+    tracemalloc.start()
+    try:
+        for _ in args.render(args):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 10**6
+
+
 def test_emit_writes_every_piece_across_batches(tmp_path, capsys):
     # the pieces are joined a batch at a time; an empty piece ends nothing
     pieces = [f"{i}\n" for i in range(10000)] + ["", "end"]
@@ -234,8 +251,10 @@ def test_bad_arguments_exit_2(tmp_path, capsys, config, args, message):
     [
         (["products", "--d", "5", "--y", "1e9"], "10^8"),
         (["products", "--d", str(2**63 + 1), "--y", "100"], "2^63"),
+        # the modulus is named as it was typed
+        (["rho", "--poly=1,0,1", "--k", str(2**63 + 1)], "k=9223372036854775809 exceeds"),
     ],
-    ids=["y>10^8", "|d|>2^63"],
+    ids=["y>10^8", "|d|>2^63", "rho k>2^63"],
 )
 def test_products_caps_exit_3(capsys, args, message):
     # the caps are computation limits, not bad arguments

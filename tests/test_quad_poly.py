@@ -231,9 +231,12 @@ def test_roots_mod_matches_brute():
         (lambda: prime_power_roots(QuadPoly(2**31 - 1, 0, 2**31 - 1), 2**31 - 1, 1), "too large"),
         (lambda: rho(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
         (lambda: roots_mod(QuadPoly(1, 0, 1), 0), "modulus must be positive"),
+        # each modulus is named as the caller passed it, not as factorize's n
+        (lambda: rho(QuadPoly(1, 0, 1), 2**63 + 1), "k=9223372036854775809 exceeds"),
+        (lambda: roots_mod(QuadPoly(1, 0, 1), 2**63 + 1), "v=9223372036854775809 exceeds"),
     ],
     ids=["r<1", "composite p", "p^r>2^63", "r=10^9", "content root set", "rho k<1",
-         "roots_mod v<1"],
+         "roots_mod v<1", "rho k>2^63", "roots_mod v>2^63"],
 )
 def test_argument_guards(call, message):
     with pytest.raises(ValueError, match=message):
