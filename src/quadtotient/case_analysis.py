@@ -8,11 +8,17 @@ T < p <= 4ax split by whether Omega_T(p - 1) clears A * loglog T.
 totient records, which are rare: every other n is NotTotient, and its CSV
 row or record is made from n alone as it is written.
 
-The sweeps (``survey``, ``ew_density_probe``, ``square_divisor_count``)
-factor each value at most once, by the root sieve of ``quad_poly``, and
-trial-divide none.  ``survey`` takes one residue class of n mod 4 at a
-time: P(n) mod 4 follows n mod 4, so each class's residue is read off
-P(1), ..., P(4).
+``survey`` and ``ew_density_probe`` factor each value at most once, by
+the root sieve of ``quad_poly``, and trial-divide none.
+``square_divisor_count`` sieves squares and factors nothing: p^2 | P(n)
+exactly when n lies in one of the classes of P's roots mod p^2 (the square
+sieve, as in Estermann's count of the squarefree n^2 + 1), so only the
+values those classes hit are divided, by p^2; where isqrt(max P) passes
+the root sieve's reach of x, it factors the values by the root sieve
+instead.
+
+``survey`` takes one residue class of n mod 4 at a time: P(n) mod 4
+follows n mod 4, so each class's residue is read off P(1), ..., P(4).
 - Odd values above 1 are nontotients and are skipped; a value 1
   (phi(1) = phi(2) = 1) goes to ``classify``, which puts it in SmallP.
 - A value v = 2 (mod 4) is phi(m) only as v = (p - 1) p^k, so p_max is
@@ -47,7 +53,7 @@ import json
 import math
 from array import array
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 from .arith_core import Factorization, _Record, big_omega_below, factorize, is_prime, iter_primes
 from .quad_poly import (
@@ -59,6 +65,7 @@ from .quad_poly import (
     _raw,
     _root_sieve,
     _sieve_bound,
+    _square_classes,
     factor_values,
 )
 from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime, _two_mod_four_prime
@@ -76,6 +83,10 @@ __all__ = [
 
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
 _MIN_T = math.e  # loglog T must be positive
+
+# The n whose square parts the square sieve holds at once: on x^2 + 1 at
+# x = 10^6 blocks of 2^12, 2^14 and 2^18 were no faster.
+_SQUARE_BLOCK = 1 << 16
 
 CSV_HEADER = "n,value,case,p_max,v,omega_T_pm1"
 
@@ -110,7 +121,7 @@ class CaseReport(
     def to_csv(self) -> str:
         if self.records is None:
             raise ValueError("survey was run without keep_records")
-        return "".join(_csv_lines(self.records))
+        return CSV_HEADER + "\n" + "".join(record.csv_row() + "\n" for record in self.records)
 
     def summary_dict(self) -> dict:
         return {
@@ -127,25 +138,36 @@ class CaseReport(
         }
 
 
-def _csv_lines(records: Iterable[CaseRecord]) -> Iterator[str]:
-    """The CSV table of ``records``, one line per piece, the header first."""
+def _csv_lines(poly: QuadPoly, x: int, found: dict[int, CaseRecord]) -> Iterator[str]:
+    """The bytes of ``CaseReport.to_csv`` of the survey whose totient
+    records are ``found``, one line per piece, the header first: a
+    NotTotient line is made from n and poly(n) alone."""
     yield CSV_HEADER + "\n"
-    for record in records:
-        yield record.csv_row() + "\n"
+    a, b, c = poly
+    for n in range(1, x + 1):
+        record = found.get(n)
+        yield record.csv_row() + "\n" if record else f"{n},{(a * n + b) * n + c},NotTotient,,,\n"
 
 
-def _json_records(records: Iterable[CaseRecord]) -> Iterator[str]:
-    """Each record as the object, keyed by the CSV columns, that json.dumps(indent=2)
-    prints for it in the summary, with the separator before all but the first."""
+def _json_records(poly: QuadPoly, x: int, found: dict[int, CaseRecord]) -> Iterator[str]:
+    """The record of each n <= x as the object, keyed by the CSV columns,
+    that json.dumps(indent=2) prints for it in the summary, with the
+    separator before all but the first: a NotTotient object is one fixed
+    template filled with n and poly(n)."""
     fields = ",\n".join(f'      "{key}": {{}}' for key in CSV_HEADER.split(","))
-    layout = "    {{\n" + fields + "\n    }}"
-    separator = ""
-    for record in records:
-        yield separator + layout.format(
-            *("null" if f is None else json.dumps(f) if isinstance(f, str) else f
-              for f in record.row())
-        )
-        separator = ",\n"
+    layout = ",\n    {{\n" + fields + "\n    }}"
+    derived = layout.format("%d", "%d", json.dumps(Case.NOT_TOTIENT.value), "null", "null", "null")
+    a, b, c = poly
+    for n in range(1, x + 1):
+        record = found.get(n)
+        if record:
+            row = layout.format(
+                *("null" if f is None else json.dumps(f) if isinstance(f, str) else f
+                  for f in record.row())
+            )
+        else:
+            row = derived % (n, (a * n + b) * n + c)
+        yield row[2:] if n == 1 else row
 
 
 def threshold_T(x: float, a_param: float, delta: float = 0.0) -> float:
@@ -336,14 +358,13 @@ def _two_mod_four_totients(
 
 def _sweep(
     poly: QuadPoly, x: int, t_cut: float, a_param: float, rows: bool
-) -> tuple[CaseReport, Iterator[CaseRecord] | None]:
+) -> tuple[CaseReport, dict[int, CaseRecord] | None]:
     """The report of ``survey`` without records and, when ``rows`` is set,
-    a generator of the record of each n <= x in order.
+    its totient records by n.
 
     After every argument check, the n are taken one residue class mod 4 at
     a time, as the module docstring says.  Only the totient records are
-    kept: every other n is NotTotient, and the generator makes its record
-    from n alone when it is read.
+    kept: every other n is NotTotient, and its row is made from n alone.
     """
     if x < 1:
         raise ValueError("survey requires x >= 1")
@@ -374,27 +395,64 @@ def _sweep(
     v1, v2, v3, smallp = (tallies[c] for c in (Case.CASE1, Case.CASE2, Case.CASE3, Case.SMALL_P))
     v_p = v1 + v2 + v3 + smallp
     report = CaseReport(poly, x, t_cut, a_param, v_p, v1, v2, v3, smallp, x - v_p)
-    if not rows:
-        return report, None
-    return report, (
-        found.get(n) or CaseRecord(n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT)
-        for n in range(1, x + 1)
-    )
+    return report, found if rows else None
 
 
 def survey(
     poly: QuadPoly, x: int, t_cut: float, a_param: float, keep_records: bool = False
 ) -> CaseReport:
     """Classify every n in [1, x] and tally the cases, with each n's record if keep_records."""
-    report, rows = _sweep(poly, x, t_cut, a_param, keep_records)
-    return report if rows is None else report._replace(records=tuple(rows))
+    report, found = _sweep(poly, x, t_cut, a_param, keep_records)
+    if found is None:
+        return report
+    return report._replace(records=tuple(
+        found.get(n) or CaseRecord(n, _raw(poly, n), False, None, None, None, Case.NOT_TOTIENT)
+        for n in range(1, x + 1)
+    ))
 
 
 def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
-    """How many n <= x have poly(n) divisible by a square above bound."""
+    """How many n <= x have poly(n) divisible by a square above bound.
+
+    A square sieve that factors no value: p^2 | poly(n) exactly when n lies
+    in a class of ``_square_classes``, so each prime p <= isqrt(max P)
+    walks its classes, takes the square part p^(e - e mod 2) of each value
+    it hits, and multiplies it into that n's square part; an n no prime
+    hits has square part 1.  The n are taken one block at a time, and each
+    class waits in the bucket of the block holding its next term, so only
+    the classes with a term up to x are held, and the square parts of one
+    block.  Where isqrt(max P) passes the root sieve's reach of x, as for a
+    large leading coefficient and a small x, finding the classes of every
+    prime costs more than factoring, and the values are factored instead.
+    """
     if x < 1 or bound < 1:
         raise ValueError("square_divisor_count requires x >= 1 and bound >= 1")
-    return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
+    reach = math.isqrt(_largest_value(poly, x))
+    if reach > _SIEVE_REACH * x:
+        return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
+    buckets: dict[int, list[tuple[int, int, int]]] = {}  # block -> (next term, step, p)
+    for p in iter_primes(reach):
+        for t, step in _square_classes(poly, p):
+            if (first := t or step) <= x:
+                buckets.setdefault(first // _SQUARE_BLOCK, []).append((first, step, p))
+    a, b, c = poly
+    count = 0
+    for block in range(x // _SQUARE_BLOCK + 1):
+        parts: dict[int, int] = {}  # n -> the square part of poly(n), for the n hit
+        end = min((block + 1) * _SQUARE_BLOCK, x + 1)
+        for first, step, p in buckets.pop(block, ()):
+            q = p * p
+            for n in range(first, end, step):
+                v, part = ((a * n + b) * n + c) // q, q
+                while v % q == 0:
+                    v //= q
+                    part *= q
+                parts[n] = parts.get(n, 1) * part
+            n += step  # the first term past the block
+            if n <= x:
+                buckets.setdefault(n // _SQUARE_BLOCK, []).append((n, step, p))
+        count += sum(part > bound for part in parts.values())
+    return count
 
 
 def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:

@@ -260,16 +260,16 @@ def _survey(args: argparse.Namespace) -> str | Iterator[str]:
             f"{args.poly.discriminant()}); pass --allow-reducible to proceed"
         )
     # the sweep ends here, before any byte is written; only NotTotient rows are made later
-    report, rows = _sweep(args.poly, args.x, t_cut, args.A, args.records or args.format == "csv")
+    report, found = _sweep(args.poly, args.x, t_cut, args.A, args.records or args.format == "csv")
     if args.format == "csv":  # the bytes of report.to_csv()
-        return _csv_lines(rows)
+        return _csv_lines(args.poly, args.x, found)
     summary = _json_line(report.summary_dict(), indent=2)
     if not args.records:
         return summary
     # the bytes of json.dumps(indent=2) with the records listed last, made
     # one row at a time: no dict per row, and no document held whole
     head = summary[: -len("\n}\n")] + ',\n  "records": [\n'
-    return chain((head,), _json_records(rows), ("\n  ]\n}\n",))
+    return chain((head,), _json_records(args.poly, args.x, found), ("\n  ]\n}\n",))
 
 
 def _bounds(args: argparse.Namespace) -> str:

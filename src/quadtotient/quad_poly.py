@@ -10,6 +10,8 @@ the derivative is a unit and a brute split at singular roots.  The count
 is p^s times theirs; the list expands each into p^s roots.  For p not
 dividing 2*a*D this gives 1 + (D|p) roots, 0 or 2, at every level.  p is
 proved prime once: by factorize in rho and roots_mod, else before the lift.
+The square sieve takes the same lift at r = 2 as classes of n, one class
+mod p for a singular root where the list would hold p roots mod p^2.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
@@ -242,6 +244,32 @@ def _spread(p: int, r: int, s: int, roots: list[int]) -> list[int]:
     if len(roots) * scale > _ROOT_SET_LIMIT:
         raise ValueError("root set too large to enumerate")
     return sorted(t + j * step for t in roots for j in range(scale))
+
+
+def _square_classes(poly: tuple[int, int, int], p: int) -> list[tuple[int, int]]:
+    """(t, step) for each class n = t (mod step) of the n with p^2 | poly(n),
+    for a prime p: disjoint classes, of step p^2, p or 1.
+
+    The lift of ``_lift`` at r = 2, kept as classes: a root t mod p where
+    the derivative vanishes and p^2 | poly(t) lifts to every t + p j, one
+    class mod p in place of p roots mod p^2 (so a square such as (n + 1)^2
+    costs one class per prime), and a content divisible by p leaves the
+    roots of poly / p mod p, each a class mod p.
+    """
+    a, b, c = poly
+    q = p * p
+    if a % p == b % p == c % p == 0:
+        if a % q == b % q == c % q == 0:
+            return [(0, 1)]
+        return [(t, p) for t in _roots_mod_prime((a // p, b // p, c // p), p)]
+    classes = []
+    for t in _roots_mod_prime(poly, p):
+        deriv = 2 * a * t + b
+        if deriv % p:  # the unique Hensel lift
+            classes.append(((t - _raw(poly, t) * pow(deriv, -1, q)) % q, q))
+        elif _raw(poly, t) % q == 0:
+            classes.append((t, p))
+    return classes
 
 
 def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:

@@ -285,6 +285,84 @@ def test_square_divisor_count_monotone():
     assert counts == sorted(counts, reverse=True)
 
 
+def _square_recount(poly, x, bound):
+    """The n <= x whose value has a square part above bound, by factorize per n."""
+    return sum(
+        math.prod(p ** (e - e % 2) for p, e in factorize(poly(n)).factors) > bound
+        for n in range(1, x + 1)
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    # a small a; a next to 256, where the sieve gives way to factoring at
+    # an x of about sqrt(c / (256 - a)); and a large a at a small x, which
+    # factors
+    st.one_of(st.integers(1, 20), st.integers(240, 272), st.integers(300, 5000)),
+    st.integers(-40, 40),
+    st.one_of(st.integers(1, 200), st.integers(1, 10**5)),
+    st.sampled_from([1, 2, 3, 4, 6, 12]),  # the content k^2: p = 2, and p^4 or more
+    st.integers(1, 400),
+    st.integers(1, 400),
+)
+def test_square_divisor_count_matches_per_n_factorize(a, b, c, k, x, bound):
+    poly = QuadPoly(k * k * a, k * k * b, k * k * c)
+    assume(min(poly(n) for n in range(1, x + 1)) >= 1)
+    assert square_divisor_count(poly, x, bound) == _square_recount(poly, x, bound)
+
+
+@pytest.mark.parametrize(
+    "poly, x, bound, count",
+    [
+        (P, 10**4, 100, 305),
+        (P, 10**5, 1000, 849),
+        (P, 10**6, 1000, 8473),
+        (QuadPoly(1, 1, 2), 10**4, 100, 360),
+        (QuadPoly(12, 0, 18), 2 * 10**4, 50, 1357),  # the content 6, and p = 2
+        (QuadPoly(5040, 0, 5040), 300, 100, 300),  # factored: isqrt(max P) > 16 x
+        (QuadPoly(255, 0, 1), 2000, 100, 135),  # sieved, just below the switch
+        (QuadPoly(257, 0, 1), 2000, 100, 87),  # factored, just above it
+        # squares: every root mod p is double, and lifts to a whole class mod p
+        (QuadPoly(1, 2, 1), 2 * 10**4, 100, 19991),
+        (QuadPoly(4, 4, 1), 2 * 10**4, 100, 19996),
+    ],
+    ids=["x^2+1-1e4", "x^2+1-1e5", "x^2+1-1e6", "x^2+x+2", "12x^2+18", "5040x^2+5040",
+         "255x^2+1", "257x^2+1", "(x+1)^2", "(2x+1)^2"],
+)
+def test_square_divisor_count_pinned(poly, x, bound, count):
+    # the counts of the factoring path, from before the square sieve
+    assert square_divisor_count(poly, x, bound) == count
+
+
+@pytest.mark.parametrize(
+    "poly, x",
+    [(QuadPoly(1, 0, 1), 3000), (QuadPoly(144, -36, 900), 400), (QuadPoly(5040, 0, 5040), 300),
+     (QuadPoly(9, 6, 1), 2000)],
+    ids=["x^2+1", "content-144", "5040x^2+5040", "(3x+1)^2"],
+)
+def test_square_sieve_and_factoring_agree(monkeypatch, poly, x):
+    # the reach decides between the two paths; force each in turn
+    counts = []
+    for reach in (0, 10**9):
+        monkeypatch.setattr(case_analysis, "_SIEVE_REACH", reach)
+        counts.append([square_divisor_count(poly, x, bound) for bound in (1, 4, 50, 10**4)])
+    assert counts[0] == counts[1]
+
+
+def test_square_sieve_factors_nothing(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a value was factored")
+
+    for module, name in (
+        (case_analysis, "factor_values"), (quad_poly, "_root_sieve"), (arith_core, "factorize"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
+    assert square_divisor_count(P, 10**4, 100) == 305
+    # isqrt(max P) is past 16 x: the values are factored
+    with pytest.raises(AssertionError, match="a value was factored"):
+        square_divisor_count(QuadPoly(5040, 0, 5040), 300, 100)
+
+
 def test_ew_density_probe():
     assert ew_density_probe(P, 5, 10) == Fraction(3, 10)
     assert ew_density_probe(P, 1, 10) == Fraction(1)

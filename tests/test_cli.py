@@ -133,6 +133,23 @@ def test_survey_rows_hold_no_list_of_x_records(flag):
     assert peak < 1.5 * 10**6
 
 
+@pytest.mark.parametrize("flag", [["--format", "csv"], ["--records"]], ids=["csv", "records"])
+def test_survey_rows_build_a_record_per_totient_value_only(monkeypatch, capsys, flag):
+    # a NotTotient row is written from n and P(n), with no CaseRecord made for it
+    from quadtotient import QuadPoly, case_analysis, survey
+
+    argv = ["survey", "--poly=1,0,1", "--x", "2000", "--T", "50", *flag]
+    v_p = survey(QuadPoly(1, 0, 1), 2000, 50.0, 0.7604).v_p
+    expected = run_cli(argv, capsys)
+    made = []
+    record = case_analysis.CaseRecord
+    monkeypatch.setattr(
+        case_analysis, "CaseRecord", lambda *fields: made.append(fields) or record(*fields)
+    )
+    assert run_cli(argv, capsys) == expected
+    assert len(made) == v_p > 0
+
+
 def test_emit_writes_every_piece_across_batches(tmp_path, capsys):
     # the pieces are joined a batch at a time; an empty piece ends nothing
     pieces = [f"{i}\n" for i in range(10000)] + ["", "end"]

@@ -151,6 +151,18 @@ def test_prime_power_roots_match_brute():
             assert prime_power_roots(poly, p, r) == brute_roots(poly, p**r)
 
 
+def test_square_classes_match_brute():
+    # the classes mod p^2 cover exactly the roots mod p^2, each once: content
+    # p and p^2, p = 2, singular roots, and p | a
+    for coeffs in [*BATTERY, (4, 0, 8), (9, 9, 18), (25, 0, 50), (3, 0, 1), (1, 2, 1)]:
+        for p in (2, 3, 5, 7, 13):
+            q = p * p
+            classes = quad_poly._square_classes(coeffs, p)
+            hits = sorted(t for t0, step in classes for t in range(t0, q, step))
+            assert hits == brute_roots(QuadPoly(*coeffs), q), (coeffs, p)
+            assert all(0 <= t < step and step in (1, p, q) for t, step in classes)
+
+
 def test_rho_multiplicative():
     pairs = [(3, 4), (5, 8), (7, 9), (25, 16), (11, 27), (13, 125), (49, 81),
              (2, 9), (101, 64), (243, 49), (17, 288)]
