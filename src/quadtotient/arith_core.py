@@ -2,12 +2,15 @@
 
 Primality, factorization, prime generation, Euler's phi, the Kronecker
 symbol, squarefree parts and prime-factor counting.
-Everything is deterministic: primality is a Miller-Rabin test whose prime
-witnesses are chosen by the size of n, from the minimal sets proved
-complete by Jaeschke (Math. Comp. 61, 1993) and Sorenson and Webster
-(Math. Comp. 86, 2017), OEIS A014233: the first 4 primes below
-3,215,031,751, the first 7 below 341,550,071,728,321, the first 9 below
-3,825,123,056,546,413,051, and all 12 primes up to 37 from there to 2^63.
+Everything is deterministic: primality is one gcd with the product of the
+primes up to 37, which screens out every multiple of them, and then a
+Miller-Rabin test whose prime witnesses are the first k primes, k chosen
+by the size of n from the full ladder of minimal sets proved complete by
+Jaeschke (Math. Comp. 61, 1993) and Sorenson and Webster (Math. Comp. 86,
+2017), OEIS A014233: k = 1, 2, 3, 4, 5, 6 and 7 below 2,047, 1,373,653,
+25,326,001, 3,215,031,751, 2,152,302,898,747, 3,474,749,660,383 and
+341,550,071,728,321, k = 9 below 3,825,123,056,546,413,051, and all 12
+primes up to 37 from there to 2^63.
 The factorization fallback is a Brent-style cycle walk with a fixed
 parameter sequence, so repeated runs give identical results.
 
@@ -36,13 +39,20 @@ __all__ = [
 
 INPUT_LIMIT = 1 << 63
 
-# The first 12 primes: the small-prime divisibility screen, and the
-# Miller-Rabin witnesses, complete for n < 3.18 * 10^23.
+# The first 12 primes: the Miller-Rabin witnesses, complete for
+# n < 3.18 * 10^23, and through their product the small-prime screen.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_WITNESS_PRODUCT = math.prod(_MR_WITNESSES)
 # (bound, witnesses): the first k primes prove every n below the bound,
-# where the bound is the least strong pseudoprime to all k (OEIS A014233)
+# where the bound is the least strong pseudoprime to all k (OEIS A014233;
+# the 8th prime does not raise the 7th bound, nor the 10th and 11th the 9th)
 _MR_SIZED = (
+    (2_047, _MR_WITNESSES[:1]),
+    (1_373_653, _MR_WITNESSES[:2]),
+    (25_326_001, _MR_WITNESSES[:3]),
     (3_215_031_751, _MR_WITNESSES[:4]),
+    (2_152_302_898_747, _MR_WITNESSES[:5]),
+    (3_474_749_660_383, _MR_WITNESSES[:6]),
     (341_550_071_728_321, _MR_WITNESSES[:7]),
     (3_825_123_056_546_413_051, _MR_WITNESSES[:9]),
     (INPUT_LIMIT + 1, _MR_WITNESSES),
@@ -80,16 +90,7 @@ class Factorization(_Record, namedtuple("Factorization", "value factors")):
 
     def divisors(self) -> list[int]:
         """All positive divisors, ascending."""
-        divs = [1]
-        for p, e in self.factors:
-            pk = 1
-            ext = []
-            for _ in range(e):
-                pk *= p
-                ext.extend(d * pk for d in divs)
-            divs.extend(ext)
-        divs.sort()
-        return divs
+        return _divisors(self.factors)
 
     def largest_square_divisor(self) -> int:
         """The largest perfect square dividing the value."""
@@ -99,6 +100,18 @@ class Factorization(_Record, namedtuple("Factorization", "value factors")):
         return out
 
 
+def _divisors(factors) -> list[int]:
+    """The divisors of the product of p^e over the (p, e) of ``factors``, ascending."""
+    divs = [1]
+    for p, e in factors:
+        layer = divs
+        for _ in range(e):  # the divisors with p^k exactly, from those with p^(k - 1)
+            layer = [d * p for d in layer]
+            divs += layer
+    divs.sort()
+    return divs
+
+
 def is_prime(n: int) -> bool:
     """Deterministic primality test for 0 <= n <= 2^63."""
     if n < 0:
@@ -106,27 +119,35 @@ def is_prime(n: int) -> bool:
     _check_limit(n)
     if n < 2:
         return False
-    for p in _MR_WITNESSES:  # doubles as a small-prime divisibility screen
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    if math.gcd(n, _WITNESS_PRODUCT) > 1:  # a multiple of a prime up to 37
+        return n in _MR_WITNESSES
     for bound, witnesses in _MR_SIZED:
         if n < bound:
             break
-    for a in witnesses:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
+    for a in witnesses:  # a loop: all() over a generator costs more per call
+        if not _strong_round(n, a):
             return False
     return True
+
+
+def _strong_round(n: int, a: int) -> bool:
+    """Whether an odd n > a passes the Miller-Rabin round to base a; every
+    prime does, so an n that fails it is composite."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s * odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _probable_prime(n: int) -> bool:
+    """False only for a composite odd n >= 3: the screen of ``is_prime``,
+    then its round to base 2."""
+    return math.gcd(n, _WITNESS_PRODUCT) in (1, n) and _strong_round(n, 2)
 
 
 def _brent_rho(n: int) -> int:

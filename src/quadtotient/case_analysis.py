@@ -43,7 +43,10 @@ it sees only the values 0 (mod 4) and a value 1.
 ``ew_density_probe`` factors only the n whose value is even, the classes
 of P(n) = 0 or 2 (mod 4).  An odd value has only odd divisors d, and
 d + 1 is an odd prime only for even d, so the probe counts it only
-through p = 2, that is exactly when T < 2, when every n counts.
+through p = 2, that is exactly when T < 2, when every n counts.  Of an
+even value it lists only the odd divisors o, ascending, and walks the
+even divisors 2^j o (j = 1, ..., v_2 of the value) as it makes them,
+stopping at the first d with d + 1 > T prime.
 """
 
 from __future__ import annotations
@@ -55,7 +58,15 @@ from array import array
 from collections import namedtuple
 from collections.abc import Iterator
 
-from .arith_core import Factorization, _Record, big_omega_below, factorize, is_prime, iter_primes
+from .arith_core import (
+    Factorization,
+    _Record,
+    _divisors,
+    big_omega_below,
+    factorize,
+    is_prime,
+    iter_primes,
+)
 from .quad_poly import (
     _SIEVE_REACH,
     QuadPoly,
@@ -472,8 +483,25 @@ def ew_density_probe(poly: QuadPoly, t_cut: float, x: int) -> Fraction:
     if t_cut < 2:
         return Fraction(1)
     count = sum(
-        any(d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors())
+        _has_witness(factorization, t_cut)
         for ns in _classes(poly, x, (0, 2))  # the even values: every n, one class mod 2, or none
         for factorization in factor_values(poly, x, ns.start, ns.step)
     )
     return Fraction(count, x)
+
+
+def _has_witness(factorization: Factorization, t_cut: float) -> bool:
+    """Whether some even d | v has d + 1 > T prime, for an even value v.
+
+    The even divisors 2^j o, with o odd and ascending and j = 1, ..., v_2(v)
+    for each o, are tested as they are made, to the first that counts; for
+    v = 2 (mod 4) that is every even divisor, ascending.
+    """
+    (_, twos), *odd = factorization.factors
+    for o in _divisors(odd):
+        d = o
+        for _ in range(twos):
+            d *= 2
+            if d + 1 > t_cut and is_prime(d + 1):
+                return True
+    return False

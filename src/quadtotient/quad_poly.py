@@ -3,13 +3,16 @@
 A quadratic a*x^2 + b*x + c is held exactly; the module counts and lists
 its roots modulo prime powers and general moduli.
 
-Roots and root counts modulo a prime power p^r come from one lift, which
-checks p^r, takes out the content p^s at p once, and lifts the roots mod
-p of the rest level by level to p^(r - s), by a unique Hensel step where
-the derivative is a unit and a brute split at singular roots.  The count
-is p^s times theirs; the list expands each into p^s roots.  For p not
-dividing 2*a*D this gives 1 + (D|p) roots, 0 or 2, at every level.  p is
-proved prime once: by factorize in rho and roots_mod, else before the lift.
+Roots modulo a prime power p^r come from one lift, which checks p^r,
+takes out the content p^s at p once, and lifts the roots mod p of the
+rest level by level to p^(r - s), by a unique Hensel step where the
+derivative is a unit and a brute split at singular roots; the list
+expands each into p^s roots.  ``rho`` counts the same roots without
+listing them: a singular root's lifts are counted by recursing on
+poly(t + p u), so a count such as p for (x + 1)^2 mod p^2 holds no list
+of p roots.  For p not dividing 2*a*D there are 1 + (D|p) roots, 0 or 2, at
+every level.  p is proved prime once: by factorize in rho and roots_mod,
+else before the lift.
 The square sieve takes the same lift at r = 2 as classes of n, one class
 mod p for a singular root where the list would hold p roots mod p^2.
 
@@ -230,12 +233,44 @@ def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
                 inv = pow(deriv % nxt, -1, nxt)
                 lifted.append((t - _raw(poly, t) * inv) % nxt)
             elif _raw(poly, t) % nxt == 0:
+                if len(lifted) + p > _ROOT_SET_LIMIT:  # checked before the p lifts are made
+                    raise ValueError("root set too large to enumerate")
                 lifted.extend(t + j * mod for j in range(p))
-            if len(lifted) > _ROOT_SET_LIMIT:
-                raise ValueError("root set too large to enumerate")
+        if len(lifted) > _ROOT_SET_LIMIT:
+            raise ValueError("root set too large to enumerate")
         roots = lifted
         mod = nxt
     return s, roots
+
+
+def _root_count(poly: tuple[int, int, int], p: int, r: int) -> int:
+    """The number of roots of poly = (a, b, c) mod p^r, for a proved prime
+    p and p^r <= 2^63, with no root listed.
+
+    As in ``_lift``: the content p^s (s <= r) is taken out, and a root t
+    mod p where the derivative is a unit lifts to one root at every level.
+    At a singular root the roots t + p u are those of g(u) = poly(t + p u)
+    = a p^2 u^2 + (2 a t + b) p u + poly(t) mod p^r.  p divides every
+    coefficient of g, so g mod p^r depends only on u mod p^(r - 1), and
+    these roots number g's count mod p^r over p; g's content is at least
+    p, so the count recurses on a smaller r.  At most one root mod p of a
+    content-free quadratic is singular, so the recursion is a chain.
+    """
+    a, b, c = poly
+    s = 0
+    while s < r and a % p == b % p == c % p == 0:
+        a, b, c = a // p, b // p, c // p
+        s += 1
+    if s == r:
+        return p ** r
+    count = 0
+    for t in _roots_mod_prime((a, b, c), p):
+        deriv = 2 * a * t + b
+        if deriv % p or s == r - 1:
+            count += 1
+        else:
+            count += _root_count((a * p * p, deriv * p, _raw((a, b, c), t)), p, r - s) // p
+    return p ** s * count
 
 
 def _spread(p: int, r: int, s: int, roots: list[int]) -> list[int]:
@@ -285,9 +320,8 @@ def rho(poly: QuadPoly, k: int) -> int:
         raise ValueError("modulus must be positive")
     _check_limit(k, "k")
     out = 1
-    for p, e in factorize(k).factors:  # proved prime: lift at once
-        s, roots = _lift(poly, p, e)
-        out *= p ** s * len(roots)
+    for p, e in factorize(k).factors:  # proved prime: count at once
+        out *= _root_count(poly, p, e)
         if out == 0:
             return 0
     return out

@@ -19,9 +19,14 @@ totients splits the answer in two, since phi(m) has a factor 2 for each
 distinct odd prime of m.  When d holds every factor 2 of r, the rest r / d
 is odd and only powers of p can fill it, so the answer is that r / d is a
 power of p and p is prime, tested in that order, with no table lookup.
-Otherwise p is tested for primality first, and then the rests
-r / ((p - 1) p^k), k = 0, 1, ..., are read from the table until one has
-an entry below p (yes) or p no longer divides it (no).  In particular a
+Otherwise p first takes the small-prime screen of ``is_prime`` and one
+Miller-Rabin round to base 2, which reject almost every composite p
+before any table work (a p they reject is recorded as composite); then
+the rests r / ((p - 1) p^k), k = 0, 1, ..., are read from the table until
+one has an entry below p or p no longer divides it (no); and only a p
+that closes this way takes the full primality proof (yes when it is
+prime).  So a prime that ends nothing is never proved.  ``listed`` and
+the power-of-p answer above keep the full proof of every p.  In particular a
 value n = 2 (mod 4), such as every even value of x^2 + 1, is phi(m) only
 for m = p^(k+1) or 2 p^(k+1) with n = (p - 1) p^k.  Its largest preimage
 prime needs no divisor list: n + 1 when that is prime, else the odd prime
@@ -61,7 +66,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .arith_core import Factorization, _Record, factorize, is_prime, primes_up_to
+from .arith_core import Factorization, _Record, _probable_prime, factorize, is_prime, primes_up_to
 
 __all__ = [
     "NontotientError",
@@ -111,19 +116,24 @@ class _FiberSearch:
         """Whether p = d + 1 is an odd prime that ends some m with phi(m) = r
         as its largest odd prime; needs d | r.  An odd rest r / d must be a
         power of p, checked before p's primality test; any other rest is
-        closed by the loop over k after it, as the module docstring says."""
+        closed by the loop over k between the screen and base-2 round of p
+        and its proof, as the module docstring says."""
         p, rest = d + 1, r // d
         if d & -d == r & -r:
             while rest % p == 0:
                 rest //= p
             return rest == 1 and self._is_prime_after(d)
-        if not self._is_prime_after(d):
+        prime = self._prime_after.get(d)
+        if prime is False:
+            return False
+        if prime is None and not _probable_prime(p):
+            self._prime_after[d] = False
             return False
         while self.least_top(rest) >= p:
             if rest % p:
                 return False
             rest //= p
-        return True
+        return self._is_prime_after(d)
 
     def listed(self) -> list[int]:
         """Every d | n with d + 1 an odd prime, ascending; the walks take it in

@@ -34,6 +34,16 @@ def test_is_prime_matches_sieve(prime_sieve_1e6):
         assert is_prime(n) == bool(prime_sieve_1e6[n]), n
 
 
+def test_probable_prime_rejects_only_composites(prime_sieve_1e6):
+    # the screen and base-2 round the fiber search runs before its closing
+    # loop: every odd prime passes, and a composite may pass, as 8321 does
+    for n in range(3, 20000, 2):
+        if prime_sieve_1e6[n]:
+            assert arith_core._probable_prime(n), n
+    assert not arith_core._probable_prime(15) and not arith_core._probable_prime(8323)
+    assert arith_core._probable_prime(8321) and not is_prime(8321)  # 53 * 157
+
+
 _FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
@@ -67,6 +77,9 @@ def _twelve_base_reference(n):
     "n, k",
     [
         # the least strong pseudoprime to the first k primes (OEIS A014233)
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
         (3215031751, 4),
         (2152302898747, 5),
         (3474749660383, 6),
@@ -79,6 +92,24 @@ def test_is_prime_rejects_the_witness_set_boundaries(n, k):
     # would call it prime
     assert all(_strong_probable_prime(n, a) for a in _FIRST_PRIMES[:k])
     assert not is_prime(n)
+
+
+def test_witness_ladder_is_the_a014233_ladder():
+    # each bound is the A014233 entry for its first k primes, in order; the
+    # 8th, 10th and 11th primes raise no bound and have no step of their own
+    assert [(bound, len(witnesses)) for bound, witnesses in arith_core._MR_SIZED] == [
+        (2047, 1),
+        (1373653, 2),
+        (25326001, 3),
+        (3215031751, 4),
+        (2152302898747, 5),
+        (3474749660383, 6),
+        (341550071728321, 7),
+        (3825123056546413051, 9),
+        (2**63 + 1, 12),
+    ]
+    for _, witnesses in arith_core._MR_SIZED:
+        assert witnesses == _FIRST_PRIMES[: len(witnesses)]
 
 
 def test_is_prime_matches_twelve_bases_at_every_size():

@@ -387,11 +387,11 @@ def test_ew_density_probe():
 )
 def test_ew_density_probe_lists_divisors_of_even_values_only(monkeypatch, poly, listed):
     # with T >= 2 an odd value cannot count: it is neither factored nor
-    # has its divisors listed
+    # walked for divisors
     calls, values = [], []
-    divisors = arith_core.Factorization.divisors
+    walk = case_analysis._has_witness
     monkeypatch.setattr(
-        arith_core.Factorization, "divisors", lambda f: calls.append(f.value) or divisors(f)
+        case_analysis, "_has_witness", lambda f, t_cut: calls.append(f.value) or walk(f, t_cut)
     )
     sieve = case_analysis.factor_values
 
@@ -404,6 +404,40 @@ def test_ew_density_probe_lists_divisors_of_even_values_only(monkeypatch, poly, 
     ew_density_probe(poly, 50, 1000)
     assert len(calls) == listed and all(value % 2 == 0 for value in calls)
     assert values == calls
+
+
+def _tested(rule, *args):
+    """rule(*args) and the numbers it handed to case_analysis.is_prime, in order."""
+    tested = []
+    is_prime = case_analysis.is_prime
+    case_analysis.is_prime = lambda n: tested.append(n) or is_prime(n)
+    try:
+        return rule(*args), tested
+    finally:
+        case_analysis.is_prime = is_prime
+
+
+def _any_divisor_rule(factorization, t_cut):
+    # the probe's rule before the walk: every divisor, ascending
+    is_prime = case_analysis.is_prime
+    return any(
+        d % 2 == 0 and d + 1 > t_cut and is_prime(d + 1) for d in factorization.divisors()
+    )
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=3),
+    st.lists(st.sampled_from((3, 5, 7, 11, 13, 101, 257)), max_size=7),
+    st.floats(min_value=2, max_value=10**7),
+)
+def test_even_divisor_walk_matches_any_divisor_rule(twos, odd, t_cut):
+    factorization = factorize((1 << twos) * math.prod(odd))
+    walked, tested = _tested(case_analysis._has_witness, factorization, t_cut)
+    expected, listed = _tested(_any_divisor_rule, factorization, t_cut)
+    assert walked == expected
+    if twos == 1:  # the even divisors 2o in the same ascending order
+        assert tested == listed
 
 
 def test_ew_density_probe_below_2_factors_nothing(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import assume, given, settings
@@ -182,6 +183,41 @@ def test_rho_examples():
     assert rho(poly, 3) == 0
     assert brute_roots(poly, 65) == [8, 18, 47, 57]
     assert rho(QuadPoly(1, 0, 7), 2**63) == 4  # -7 = 1 (mod 8): four roots mod 2^r, r >= 3
+
+
+@pytest.mark.parametrize("p", [4194319, 33554467])
+def test_rho_counts_singular_lifts_without_listing(p):
+    # (x + 1)^2 has the one root -1 mod p, where the derivative vanishes,
+    # and every t = -1 (mod p) is a root mod p^2: p roots, more than
+    # roots_mod lists, which refuses before it makes them
+    poly = QuadPoly(1, 2, 1)
+    assert arith_core.is_prime(p) and p > quad_poly._ROOT_SET_LIMIT
+    tracemalloc.start()
+    try:
+        assert rho(poly, p * p) == p
+        with pytest.raises(ValueError, match="too large"):
+            roots_mod(poly, p * p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from((2, 3, 5)),
+    st.integers(min_value=1, max_value=5),
+    st.integers(min_value=-30, max_value=30).filter(bool),
+    st.integers(min_value=0, max_value=3),
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=-40, max_value=40),
+)
+def test_rho_matches_brute_at_singular_roots(p, r, a, j, k, t, u):
+    # a (x - t)^2 + p^j u x + p^k u: singular roots mod p, lifting to
+    # depths set by j and k
+    poly = QuadPoly(a, -2 * a * t + p**j * u, a * t * t + p**k * u)
+    assert rho(poly, p**r) == brute_root_count(poly, p**r)
 
 
 def test_hensel_stability():

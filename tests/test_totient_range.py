@@ -20,7 +20,9 @@ from quadtotient import (
     p_max,
     totients_up_to,
 )
+from quadtotient.arith_core import _probable_prime
 from quadtotient.totient_range import _FiberSearch, _totient_bitmap
+from conftest import brute_phi_table
 
 
 def test_fiber_examples():
@@ -283,6 +285,28 @@ def test_listing_changes_no_answer(n):
     divisors = factorize(n).divisors()
     assert [narrowed.least_top(r) for r in divisors] == [fresh.least_top(r) for r in divisors]
     assert narrowed.largest_prime() == fresh.largest_prime()
+
+
+@pytest.mark.parametrize("n", [16640, 85596, 98280])
+def test_closing_pseudoprime_is_proved_composite(n):
+    # n = 2d with d + 1 = 8321, 42799 and 49141: composites with no prime
+    # factor up to 37 that pass the base-2 round, and p = d + 1 closes on
+    # the rest 2, so only the full proof after the closing rejects it
+    q = n // 2 + 1
+    assert not is_prime(q) and _probable_prime(q)
+    search = _FiberSearch(factorize(n))
+    assert search.least_top(2) < q and not search._ends(n, q - 1)
+    # every m with phi(m) = n has m / n <= 2 * prod p / (p - 1) over the odd
+    # primes p with p - 1 | n, so the brute table below holds the whole fiber
+    ratio = 2 * math.prod(
+        (d + 1) / d for d in factorize(n).divisors() if d % 2 == 0 and is_prime(d + 1)
+    )
+    limit = math.ceil(ratio * n)
+    table = brute_phi_table(limit)
+    fiber = tuple(m for m in range(1, limit + 1) if table[m] == n)
+    top = max(factorize(m).factors[-1][0] for m in fiber)
+    assert inverse_totient(n) == PreimageSet(n, fiber, top)
+    assert p_max(n) == top and is_totient(n)
 
 
 def test_one_factor_two_matches_sweep(phi_map_1e5):
