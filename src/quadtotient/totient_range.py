@@ -3,15 +3,16 @@
 Each fiber query answers an odd n > 1 at once, since phi(m) is even for
 every m > 2, and runs any other n on one memoized search over the even
 divisors of n: an odd prime p can divide a preimage only if p - 1 divides
-n, so the search lists the even divisors once and tests d + 1 for primality
-lazily, keeping each answer.  Its table holds, for each divisor r of n it
-reaches, the least possible largest odd prime of an m with phi(m) = r: 0
-when r is 1 or a power of two (m is then a power of two), infinity when r
-has no preimage.  An m with phi(m) = r whose largest odd prime is p, to the
-power k + 1, exists exactly when (p - 1) * p^k divides r and the table
-entry of r / ((p - 1) * p^k) is below p.  This is the divisor dynamic
-programming of Contini, Croot and Shparlinski (Math. Comp. 2006) and of
-Alekseyev (J. Integer Seq. 2016).
+n, so the search lists the even divisors once, as 2 d over the divisors d
+of n / 2, and tests d + 1 for primality lazily, keeping each answer.  Its
+table holds, for each divisor r of n it reaches, the least possible
+largest odd prime of an m with phi(m) = r: 0 when r is 1 or a power of
+two (m is then a power of two), the entries it starts with, read off the
+power of 2 in n; infinity when r has no preimage.  An m with phi(m) = r
+whose largest odd prime is p, to the power k + 1, exists exactly when
+(p - 1) * p^k divides r and the table entry of r / ((p - 1) * p^k) is
+below p.  This is the divisor dynamic programming of Contini, Croot and
+Shparlinski (Math. Comp. 2006) and of Alekseyev (J. Integer Seq. 2016).
 
 Each candidate p = d + 1 for a rest r gets one question: does p end some
 m with phi(m) = r as its largest odd prime?  The 2-adic structure of
@@ -41,15 +42,17 @@ ends a preimage of n in this way (2 when n is a power of two and no odd
 prime does).  ``inverse_totient`` lists the whole fiber by assembling
 prime powers in descending order and closing each branch with the unique
 power of two whose phi equals whatever is left.  Many branches leave the
-same rest r, so the walk expands each r once, into its row of a branch
-table.  With the divisors d of n for which d + 1 is prime listed in
-ascending order, the row of r holds (i, p^(k+1), r / ((p - 1) p^k)) for
+same rest r, so the walk keeps one row of a branch table for each r.
+With the divisors d of n for which d + 1 is prime listed in ascending
+order, the row of r holds a tuple (i, r / ((p - 1) p^k), p^(k+1)) for
 each i-th listed d = p - 1 that divides r and each k at which that rest
-has a table entry below p, ascending in i, as three parallel integer
-arrays.  A node whose primes must stay below the i-th listed one takes
-the entries of its rest's row before i, found by one bisection, so every
-branch it enters yields a preimage.  The enumeration is complete and
-needs no search bound.
+has a table entry below p, ascending in i, beside the list of those i.
+A node whose primes must stay below the i-th listed one takes the
+entries of its rest's row before i, found by one bisection, so every
+branch it enters yields a preimage.  A row is scanned only as far as
+the nodes that read it ask: it grows, in ascending i, to the largest
+such bound yet, so no entry is built that no node takes.  The
+enumeration is complete and needs no search bound.
 
 ``totients_up_to`` counts distinct totient values <= x by marking them
 directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
@@ -62,11 +65,18 @@ bitmap.
 from __future__ import annotations
 
 import math
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
 
-from .arith_core import Factorization, _Record, _probable_prime, factorize, is_prime, primes_up_to
+from .arith_core import (
+    Factorization,
+    _divisors,
+    _Record,
+    _probable_prime,
+    factorize,
+    is_prime,
+    primes_up_to,
+)
 
 __all__ = [
     "NontotientError",
@@ -100,11 +110,12 @@ class _FiberSearch:
 
     def __init__(self, factorization: Factorization) -> None:
         self.n = factorization.value
-        self._divisors = [d for d in factorization.divisors() if d % 2 == 0]
+        factors = factorization.factors
+        twos = factors[0][1] if factors and factors[0][0] == 2 else 0
+        # the even divisors of n are 2 d over the divisors d of n / 2, ascending
+        self._divisors = [2 * d for d in _divisors(((2, twos - 1), *factors[1:]))] if twos else []
         self._prime_after: dict[int, bool] = {}  # d -> d + 1 is prime
-        self._least_top: dict[int, float] = {
-            d: 0 for d in (1, *self._divisors) if d & (d - 1) == 0
-        }
+        self._least_top: dict[int, float] = {1 << j: 0 for j in range(twos + 1)}
 
     def _is_prime_after(self, d: int) -> bool:
         prime = self._prime_after.get(d)
@@ -156,20 +167,23 @@ class _FiberSearch:
             self._least_top[r] = least
         return least
 
-    def branches(self, r: int) -> tuple[array, array, array]:
-        """The branch table row of r | n, as parallel arrays of i, p^(k+1) and
-        r / ((p - 1) p^k), ascending in i: one entry for each listed
-        d = listed[i] = p - 1 dividing r and each k >= 0 at which that rest
-        has a preimage over primes below p; needs listed().
+    def branches(self, r: int, row: list, stop: int) -> None:
+        """Grow the branch table row of r | n to hold every entry with i < stop;
+        needs listed() and a stop above the row's ``scanned``.
 
-        The closing loop of ``_ends``, run over every k rather than to the
-        first that closes, with the table read directly and ``least_top``
-        called only for a rest not yet in it.
+        A row is [scanned, indices, entries], [0, [], []] when new: the
+        listed indices below ``scanned`` have been scanned, and ``entries``
+        holds one tuple (i, r / ((p - 1) p^k), p^(k+1)) for each such i with
+        listed[i] = p - 1 dividing r and each k >= 0 at which that rest has
+        a preimage over primes below p, ascending in i, with ``indices`` the
+        list of their i for bisection.  The closing loop of ``_ends``, run
+        over every k rather than to the first that closes, with the table
+        read directly and ``least_top`` called only for a rest not yet in it.
         """
-        indices, powers, rests = array("q"), array("q"), array("q")
-        known = self._least_top
-        for i in range(bisect_right(self._divisors, r)):
-            d = self._divisors[i]
+        _, indices, entries = row
+        listed, known = self._divisors, self._least_top
+        for i in range(row[0], min(stop, bisect_right(listed, r))):
+            d = listed[i]
             if r % d == 0:
                 p = d + 1
                 rest, power = r // d, p
@@ -177,13 +191,12 @@ class _FiberSearch:
                     top = known.get(rest)
                     if (self.least_top(rest) if top is None else top) < p:
                         indices.append(i)
-                        powers.append(power)
-                        rests.append(rest)
+                        entries.append((i, rest, power))
                     if rest % p:
                         break
                     rest //= p
                     power *= p
-        return indices, powers, rests
+        row[0] = stop
 
     def largest_prime(self) -> int:
         """The largest prime of any preimage of n, 0 when there is none."""
@@ -253,13 +266,14 @@ def _fiber(n: int) -> tuple[list[int], int]:
 
     A node (stop, r, acc) has placed the prime powers of acc and has r
     left, to fill with primes p = listed[i] + 1 for i < stop.  Its
-    children are the entries of r's branch table row before stop.  The
+    children are the entries of r's branch table row before stop, which
+    ``branches`` first grows to stop if it was scanned less far.  The
     nodes wait on a list rather than in a recursive closure, which would
     hold a reference cycle, so reference counting frees the table and the
     search as soon as the walk returns.
     """
     search = _FiberSearch(factorize(n))
-    rows: dict[int, tuple[array, array, array]] = {}
+    rows: dict[int, list] = {}
     found: list[int] = []
     nodes = [(len(search.listed()), n, 1)]
     while nodes:
@@ -274,10 +288,11 @@ def _fiber(n: int) -> tuple[list[int], int]:
             found.append(acc * 2 * r)
         row = rows.get(r)
         if row is None:
-            row = rows[r] = search.branches(r)
-        indices, powers, rests = row
-        for j in range(bisect_left(indices, stop)):
-            nodes.append((indices[j], rests[j], acc * powers[j]))
+            row = rows[r] = [0, [], []]
+        if row[0] < stop:
+            search.branches(r, row, stop)
+        for i, rest, power in row[2][: bisect_left(row[1], stop)]:
+            nodes.append((i, rest, acc * power))
     return found, search.largest_prime()
 
 

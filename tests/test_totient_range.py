@@ -323,8 +323,12 @@ def test_one_factor_two_matches_sweep(phi_map_1e5):
 
 
 def test_large_fibers_pinned():
-    # sizes and p_max as listed by the unpruned enumeration
-    assert len(inverse_totient(41902660800).preimages) == 61299
+    # sizes and p_max as listed by the unpruned enumeration; the digest as
+    # listed by the branch table with every row built whole
+    fiber = inverse_totient(41902660800).preimages
+    assert len(fiber) == 61299
+    digest = hashlib.sha256(",".join(map(str, fiber)).encode()).hexdigest()
+    assert digest == "00b7f6c0c657b58881f3256dc009437b656ea0170145e7c8cb237691b95f366e"
     assert p_max(41902660800) == 1745944201
     assert p_max(963761198400) == 96376119841
 
@@ -375,8 +379,32 @@ _SMOOTH_EVEN_UP_TO_1E12 = st.tuples(
 @given(_SMOOTH_EVEN_UP_TO_1E12)
 @example(2 * 3**20)
 @example(1 << 39)
+@example(41902660800)  # most of its rows grow after they are first made
 def test_branch_table_matches_assembled_walk(n):
     assert inverse_totient(n) == _assembled(n)
+
+
+_ONE_OR_EVEN_UP_TO_2_50 = st.one_of(
+    st.just(1),
+    st.integers(min_value=1, max_value=50).map(lambda a: 1 << a),
+    # smooth with one factor 2, below 2 * 43^8 < 2^50
+    st.lists(st.sampled_from(_SMALL_PRIMES), max_size=8).map(lambda ps: 2 * math.prod(ps)),
+    _EVEN_UP_TO_2_50,
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_ONE_OR_EVEN_UP_TO_2_50)
+@example(1)
+@example(2)
+@example(1 << 50)
+def test_search_setup_matches_divisor_filter(n):
+    # the even divisors come from those of n / 2, and the table is seeded from v_2(n)
+    factorization = factorize(n)
+    search = _FiberSearch(factorization)
+    assert search._divisors == [d for d in factorization.divisors() if d % 2 == 0]
+    twos = (n & -n).bit_length() - 1
+    assert search._least_top == {2**j: 0 for j in range(twos + 1)}
 
 
 def test_largest_fiber_pinned():
@@ -404,7 +432,8 @@ def test_fiber_listing_leaves_no_garbage_cycle(listing, n):
 
 
 def test_fiber_listing_memory_stays_bounded():
-    # the 61,299 preimages take about 2.4 MB; the table and the search, about 1.6 MB more
+    # the 61,299 preimages take about 2.4 MB; the rows the walk grows, their
+    # tuples and the search, about 2.1 MB more
     tracemalloc.start()
     try:
         inverse_totient(41902660800)
