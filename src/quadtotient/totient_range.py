@@ -14,6 +14,20 @@ whose largest odd prime is p, to the power k + 1, exists exactly when
 below p.  This is the divisor dynamic programming of Contini, Croot and
 Shparlinski (Math. Comp. 2006) and of Alekseyev (J. Integer Seq. 2016).
 
+Every divisor scan for a rest r skips the d below one cut.  Each odd
+prime of phi(m) divides some q - 1 or is some q with q^2 | m, for q an
+odd prime of m, so every preimage of r has an odd prime at least G, the
+largest odd prime of r, and the table entry of r is at least G.  So no
+d with d + 1 < G ends a preimage of r: each rest r / ((p - 1) p^k) with
+p = d + 1 < G still holds G, and its entry is at least G > p.  Those d
+form one range, found by one bisection at G - 1, where the ascending
+scans for a table entry and for a branch row start and the descending
+scan for the largest prime stops.  G is the first prime of n, in
+descending order, that divides r; when that is 2, r is a power of two
+and nothing is cut, since every d is even.  No answer, table entry or
+listed preimage changes.  A nontotient gains most: its descending scan
+used to run down to the least d.
+
 Each candidate p = d + 1 for a rest r gets one question: does p end some
 m with phi(m) = r as its largest odd prime?  The 2-adic structure of
 totients splits the answer in two, since phi(m) has a factor 2 for each
@@ -50,9 +64,9 @@ has a table entry below p, ascending in i, beside the list of those i.
 A node whose primes must stay below the i-th listed one takes the
 entries of its rest's row before i, found by one bisection, so every
 branch it enters yields a preimage.  A row is scanned only as far as
-the nodes that read it ask: it grows, in ascending i, to the largest
-such bound yet, so no entry is built that no node takes.  The
-enumeration is complete and needs no search bound.
+the nodes that read it ask: it grows, in ascending i from the cut of
+its r, to the largest such bound yet, so no entry is built that no node
+takes.  The enumeration is complete and needs no search bound.
 
 ``totients_up_to`` counts distinct totient values <= x by marking them
 directly: phi of an odd m is a product of factors (p - 1) * p^(e - 1) over
@@ -69,6 +83,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import islice
 
 from .arith_core import (
     Factorization,
@@ -116,8 +131,17 @@ class _FiberSearch:
         twos = factors[0][1] if factors and factors[0][0] == 2 else 0
         # the even divisors of n are 2 d over the divisors d of n / 2, ascending
         self._divisors = [2 * d for d in _divisors(((2, twos - 1), *factors[1:]))] if twos else []
+        self._factors = factors
         self._prime_after: dict[int, bool] = {}  # d -> d + 1 is prime
         self._least_top: dict[int, float] = {1 << j: 0 for j in range(twos + 1)}
+
+    def cut(self, r: int) -> int:
+        """The index of the first scanned d with d + 1 >= G, G the largest
+        prime of r | n, so 0 when G = 2: no d below it ends a preimage of r."""
+        for q, _ in reversed(self._factors):
+            if r % q == 0:
+                return bisect_left(self._divisors, q - 1)
+        return 0
 
     def _is_prime_after(self, d: int) -> bool:
         prime = self._prime_after.get(d)
@@ -155,12 +179,15 @@ class _FiberSearch:
         return self._divisors
 
     def least_top(self, r: int) -> float:
-        """The least largest odd prime of an m with phi(m) = r, for r | n."""
+        """The least largest odd prime of an m with phi(m) = r, for r | n:
+        the first d from ``cut(r)`` up that ends one, plus 1.  Never below
+        the largest odd prime of r, which every preimage of r holds or
+        exceeds, as the module docstring says."""
         least = self._least_top.get(r)
         if least is None:
             least = math.inf
             if r % 2 == 0:  # an odd r > 1 has no preimage
-                for d in self._divisors:
+                for d in islice(self._divisors, self.cut(r), None):
                     if d > r:
                         break
                     if r % d == 0 and self._ends(r, d):
@@ -173,8 +200,9 @@ class _FiberSearch:
         """Grow the branch table row of r | n to hold every entry with i < stop;
         needs listed() and a stop above the row's ``scanned``.
 
-        A row is [scanned, indices, entries], [0, [], []] when new: the
-        listed indices below ``scanned`` have been scanned, and ``entries``
+        A row is [scanned, indices, entries], [cut(r), [], []] when new,
+        since no listed index below the cut gives an entry: the listed
+        indices below ``scanned`` have been scanned or cut, and ``entries``
         holds one tuple (i, r / ((p - 1) p^k), p^(k+1)) for each such i with
         listed[i] = p - 1 dividing r and each k >= 0 at which that rest has
         a preimage over primes below p, ascending in i, with ``indices`` the
@@ -201,8 +229,12 @@ class _FiberSearch:
         row[0] = stop
 
     def largest_prime(self) -> int:
-        """The largest prime of any preimage of n, 0 when there is none."""
-        for d in reversed(self._divisors):
+        """The largest prime of any preimage of n, 0 when there is none: the
+        first d, descending, that ends one, plus 1.  The scan stops at
+        ``cut(n)``, below which no d ends a preimage of n, so a nontotient
+        costs the d from the largest odd prime of n up, not every d."""
+        divisors = self._divisors
+        for d in islice(reversed(divisors), len(divisors) - self.cut(self.n)):
             if self._ends(self.n, d):
                 return d + 1
         return 2 if self.n & (self.n - 1) == 0 else 0
@@ -290,7 +322,7 @@ def _fiber(n: int) -> tuple[list[int], int]:
             found.append(acc * 2 * r)
         row = rows.get(r)
         if row is None:
-            row = rows[r] = [0, [], []]
+            row = rows[r] = [search.cut(r), [], []]
         if row[0] < stop:
             search.branches(r, row, stop)
         for i, rest, power in row[2][: bisect_left(row[1], stop)]:
