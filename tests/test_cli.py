@@ -389,21 +389,21 @@ def test_large_fiber_output_pinned(capsys, args, digest):
         # values with two or more factors 2, which the fiber search serves
         (["survey", "--poly=1,1,2", "--x", "5000", "--format", "csv"],
          "d8aca8195aa4bd894b9f3ac498911c23681db88ab5107c7eba4679afcb875224"),
-        # 10,000 values 0 (mod 4), most of them nontotients, whose scans the cut serves
-        (["survey", "--poly=1,1,2", "--x", "20000", "--T", "50", "--format", "csv"],
-         "64cef7fcb49611b0c58179721f644a22d202b602591969a62ed34a6ca1e749a2"),
         (["survey", "--poly=3,0,4", "--x", "5000", "--format", "csv"],
          "d18b7fbe71c9a59d6664f31e97aeaea001f83674ad778ae25fd71b3435690cd3"),
         (["survey", "--poly=1,0,1", "--x", "3000", "--T", "50", "--records"],
          "58d9d582f62361c22bd7d51fabd22d872dfc747d2a909b938f617ee99e8c160f"),
+        # 10,000 values 0 (mod 4), most of them nontotients, whose scans the cut serves
+        (["survey", "--poly=1,1,2", "--x", "20000", "--T", "50", "--format", "csv"],
+         "64cef7fcb49611b0c58179721f644a22d202b602591969a62ed34a6ca1e749a2"),
     ],
 )
 def test_sweep_output_pinned(capsys, args, digest):
     # digests of the output from before the root sieve, when every value was
-    # trial-divided, (the fourth and sixth) from before the 2-adic prune, when
-    # every even divisor d got a primality test of d + 1, (the fifth) from
-    # before the cut at the largest odd prime of each rest, and (the last)
-    # from before the JSON records were built from CaseRecord.row
+    # trial-divided, (the fourth and fifth) from before the 2-adic prune, when
+    # every even divisor d got a primality test of d + 1, (the sixth) from
+    # before the JSON records were built from CaseRecord.row, and (the last)
+    # from before the cut at the largest odd prime of each rest
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
