@@ -11,9 +11,10 @@ row or record is made from n alone as it is written.
 ``survey`` and ``ew_density_probe`` factor each value at most once, by
 the root sieve of ``quad_poly``, and trial-divide none.
 ``square_divisor_count`` sieves squares and factors nothing: p^2 | P(n)
-exactly when n lies in one of the classes of P's roots mod p^2 (the square
-sieve, as in Estermann's count of the squarefree n^2 + 1), so only the
-values those classes hit are divided, by p^2; where isqrt(max P) passes
+exactly when n lies in one of the classes of P's roots mod p^2, which
+``quad_poly``'s one lift gives (the square sieve, as in Estermann's count
+of the squarefree n^2 + 1), so only the values those classes hit are
+divided, by p^2; where isqrt(max P) passes
 the root sieve's reach of x, it factors the values by the root sieve
 instead.
 
@@ -74,9 +75,9 @@ from .quad_poly import (
     _prime_exponents,
     _prime_flags,
     _raw,
+    _root_classes,
     _root_sieve,
     _sieve_bound,
-    _square_classes,
     factor_values,
 )
 from .totient_range import PREIMAGE_INPUT_LIMIT, _largest_preimage_prime, _two_mod_four_prime
@@ -426,7 +427,7 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
     """How many n <= x have poly(n) divisible by a square above bound.
 
     A square sieve that factors no value: p^2 | poly(n) exactly when n lies
-    in a class of ``_square_classes``, so each prime p <= isqrt(max P)
+    in a class of ``_root_classes`` at r = 2, so each prime p <= isqrt(max P)
     walks its classes, takes the square part p^(e - e mod 2) of each value
     it hits, and multiplies it into that n's square part; an n no prime
     hits has square part 1.  The n are taken one block at a time, and each
@@ -443,7 +444,7 @@ def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
         return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
     buckets: dict[int, list[tuple[int, int, int]]] = {}  # block -> (next term, step, p)
     for p in iter_primes(reach):
-        for t, step in _square_classes(poly, p):
+        for t, step in _root_classes(poly, p, 2):
             if (first := t or step) <= x:
                 buckets.setdefault(first // _SQUARE_BLOCK, []).append((first, step, p))
     a, b, c = poly

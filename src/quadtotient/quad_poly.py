@@ -3,18 +3,17 @@
 A quadratic a*x^2 + b*x + c is held exactly; the module counts and lists
 its roots modulo prime powers and general moduli.
 
-Roots modulo a prime power p^r come from one lift, which checks p^r,
-takes out the content p^s at p once, and lifts the roots mod p of the
-rest level by level to p^(r - s), by a unique Hensel step where the
-derivative is a unit and a brute split at singular roots; the list
-expands each into p^s roots.  ``rho`` counts the same roots without
-listing them: a singular root's lifts are counted by recursing on
-poly(t + p u), so a count such as p for (x + 1)^2 mod p^2 holds no list
-of p roots.  For p not dividing 2*a*D there are 1 + (D|p) roots, 0 or 2, at
+Every root question mod a prime power p^r is answered by one lift,
+``_root_classes``, which gives the roots as a few disjoint classes
+n = t (mod m) with m | p^r: it takes out the content p^s at p once, lifts
+a root mod p where the derivative is a unit to its one root mod p^(r - s),
+and recurses on poly(t + p u) at a singular root t, so that the p roots
+of (x + 1)^2 mod p^2 are the one class -1 mod p.  ``rho`` counts p^r / m
+over the classes, the square sieve walks the classes at r = 2, and
+``prime_power_roots`` and ``roots_mod`` count them before they list
+anything.  For p not dividing 2*a*D there are 1 + (D|p) roots, 0 or 2, at
 every level.  p is proved prime once: by factorize in rho and roots_mod,
 else before the lift.
-The square sieve takes the same lift at r = 2 as classes of n, one class
-mod p for a singular root where the list would hold p roots mod p^2.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
@@ -84,8 +83,8 @@ __all__ = [
 
 COEF_LIMIT = 1 << 31
 
-# Lifting keeps every root of every prime-power modulus in memory; beyond
-# this many residues the modulus is outside the supported range.
+# The most roots prime_power_roots and roots_mod list; an answer with more
+# is refused, counted from its classes, before any root is listed.
 _ROOT_SET_LIMIT = 1 << 21
 
 # Values held at once by the root sieve (the root lists are kept whole,
@@ -206,55 +205,20 @@ def _roots_mod_prime(poly: tuple[int, int, int], p: int) -> list[int]:
     return sorted({(-b + s) * inv2a % p for s in sqrts})
 
 
-def _lift(poly: QuadPoly, p: int, r: int) -> tuple[int, list[int]]:
-    """Check p^r for a proved prime p, take out the content p^s (s <= r), lift: (s, roots).
+def _root_classes(poly: tuple[int, int, int], p: int, r: int) -> list[tuple[int, int]]:
+    """The roots of poly = (a, b, c) mod p^r, for a proved prime p: disjoint
+    classes (t, m) of the n = t (mod m), with 0 <= t < m and m | p^r.
 
-    roots are the roots of poly / p^s mod p^(r - s), unordered; [0] if s = r.
-    """
-    if r < 1:
-        raise ValueError("exponent must be positive")
-    # p >= 2, so r >= 64 is out of range before the power is formed
-    if r >= 64 or p ** r > INPUT_LIMIT:
-        raise ValueError("prime power exceeds the supported range 2^63")
-    s = 0
-    while s < r and poly.a % p == poly.b % p == poly.c % p == 0:
-        poly = QuadPoly(poly.a // p, poly.b // p, poly.c // p)
-        s += 1
-    if s == r:
-        return s, [0]
-    roots = _roots_mod_prime(poly, p)
-    mod = p
-    for _ in range(r - s - 1):
-        nxt = mod * p
-        lifted: list[int] = []
-        for t in roots:
-            deriv = 2 * poly.a * t + poly.b
-            if deriv % p:
-                inv = pow(deriv % nxt, -1, nxt)
-                lifted.append((t - _raw(poly, t) * inv) % nxt)
-            elif _raw(poly, t) % nxt == 0:
-                if len(lifted) + p > _ROOT_SET_LIMIT:  # checked before the p lifts are made
-                    raise ValueError("root set too large to enumerate")
-                lifted.extend(t + j * mod for j in range(p))
-        if len(lifted) > _ROOT_SET_LIMIT:
-            raise ValueError("root set too large to enumerate")
-        roots = lifted
-        mod = nxt
-    return s, roots
-
-
-def _root_count(poly: tuple[int, int, int], p: int, r: int) -> int:
-    """The number of roots of poly = (a, b, c) mod p^r, for a proved prime
-    p and p^r <= 2^63, with no root listed.
-
-    As in ``_lift``: the content p^s (s <= r) is taken out, and a root t
-    mod p where the derivative is a unit lifts to one root at every level.
-    At a singular root the roots t + p u are those of g(u) = poly(t + p u)
-    = a p^2 u^2 + (2 a t + b) p u + poly(t) mod p^r.  p divides every
-    coefficient of g, so g mod p^r depends only on u mod p^(r - 1), and
-    these roots number g's count mod p^r over p; g's content is at least
-    p, so the count recurses on a smaller r.  At most one root mod p of a
-    content-free quadratic is singular, so the recursion is a chain.
+    The content p^s (s <= r) is taken out once; content p^r leaves every n,
+    [(0, 1)].  A root t mod p of the rest where the derivative is a unit
+    has one lift mod p^(r - s), found by Newton steps mod p^(r - s), each
+    of which doubles the precision.  At a singular root the roots t + p u
+    are those of g(u) = poly(t + p u) = a p^2 u^2 + (2 a t + b) p u +
+    poly(t) mod p^(r - s), and each class (u, m) of g's roots becomes the
+    class (t + p u, p m).  g's content is at least p, so the recursion runs
+    on a smaller exponent; at most one root mod p of a content-free
+    quadratic is singular, so it is a chain.  So a root set such as the p
+    roots of (x + 1)^2 mod p^2 is the one class -1 mod p.
     """
     a, b, c = poly
     s = 0
@@ -262,56 +226,51 @@ def _root_count(poly: tuple[int, int, int], p: int, r: int) -> int:
         a, b, c = a // p, b // p, c // p
         s += 1
     if s == r:
-        return p ** r
-    count = 0
-    for t in _roots_mod_prime((a, b, c), p):
-        deriv = 2 * a * t + b
-        if deriv % p or s == r - 1:
-            count += 1
-        else:
-            count += _root_count((a * p * p, deriv * p, _raw((a, b, c), t)), p, r - s) // p
-    return p ** s * count
-
-
-def _spread(p: int, r: int, s: int, roots: list[int]) -> list[int]:
-    """The roots mod p^r, ascending, from a lift (s, roots) of poly / p^s mod p^(r - s)."""
-    scale, step = p ** s, p ** (r - s)
-    if len(roots) * scale > _ROOT_SET_LIMIT:
-        raise ValueError("root set too large to enumerate")
-    return sorted(t + j * step for t in roots for j in range(scale))
-
-
-def _square_classes(poly: tuple[int, int, int], p: int) -> list[tuple[int, int]]:
-    """(t, step) for each class n = t (mod step) of the n with p^2 | poly(n),
-    for a prime p: disjoint classes, of step p^2, p or 1.
-
-    The lift of ``_lift`` at r = 2, kept as classes: a root t mod p where
-    the derivative vanishes and p^2 | poly(t) lifts to every t + p j, one
-    class mod p in place of p roots mod p^2 (so a square such as (n + 1)^2
-    costs one class per prime), and a content divisible by p leaves the
-    roots of poly / p mod p, each a class mod p.
-    """
-    a, b, c = poly
-    q = p * p
-    if a % p == b % p == c % p == 0:
-        if a % q == b % q == c % q == 0:
-            return [(0, 1)]
-        return [(t, p) for t in _roots_mod_prime((a // p, b // p, c // p), p)]
+        return [(0, 1)]
+    poly = (a, b, c)
+    q = p ** (r - s)
     classes = []
     for t in _roots_mod_prime(poly, p):
         deriv = 2 * a * t + b
-        if deriv % p:  # the unique Hensel lift
-            classes.append(((t - _raw(poly, t) * pow(deriv, -1, q)) % q, q))
-        elif _raw(poly, t) % q == 0:
-            classes.append((t, p))
+        if deriv % p == 0 and s < r - 1:
+            lifts = _root_classes((a * p * p, deriv * p, _raw(poly, t)), p, r - s)
+            classes.extend((t + p * u, p * m) for u, m in lifts)
+            continue
+        precision = p
+        while precision < q:
+            precision *= precision
+            t = (t - _raw(poly, t) * pow(2 * a * t + b, -1, q)) % q
+        classes.append((t, q))
     return classes
+
+
+def _root_list(parts: list[tuple[int, list[tuple[int, int]]]]) -> list[int]:
+    """The roots mod the product of the prime powers q, ascending, from the
+    pairs (q, classes of the roots mod q), combined by the Chinese Remainder
+    Theorem; refused, before any root is listed, if they number more than
+    _ROOT_SET_LIMIT."""
+    if math.prod(sum(q // m for _, m in classes) for q, classes in parts) > _ROOT_SET_LIMIT:
+        raise ValueError("root set too large to enumerate")
+    combined = [0]
+    mod = 1
+    for q, classes in parts:
+        inv = pow(mod, -1, q)
+        roots = [t + j for t, m in classes for j in range(0, q, m)]
+        combined = [s + mod * ((t - s) * inv % q) for s in combined for t in roots]
+        mod *= q
+    return sorted(combined)
 
 
 def prime_power_roots(poly: QuadPoly, p: int, r: int) -> list[int]:
     """All x in [0, p^r) with poly(x) = 0 (mod p^r), ascending."""
     if not is_prime(p):
         raise ValueError("modulus base must be prime")
-    return _spread(p, r, *_lift(poly, p, r))
+    if r < 1:
+        raise ValueError("exponent must be positive")
+    # p >= 2, so r >= 64 is out of range before the power is formed
+    if r >= 64 or p ** r > INPUT_LIMIT:
+        raise ValueError("prime power exceeds the supported range 2^63")
+    return _root_list([(p ** r, _root_classes(poly, p, r))])
 
 
 def rho(poly: QuadPoly, k: int) -> int:
@@ -321,7 +280,8 @@ def rho(poly: QuadPoly, k: int) -> int:
     _check_limit(k, "k")
     out = 1
     for p, e in factorize(k).factors:  # proved prime: count at once
-        out *= _root_count(poly, p, e)
+        q = p ** e
+        out *= sum(q // m for _, m in _root_classes(poly, p, e))
         if out == 0:
             return 0
     return out
@@ -338,19 +298,11 @@ def roots_mod(poly: QuadPoly, v: int) -> list[int]:
     _check_limit(v, "v")
     parts = []
     for p, e in factorize(v).factors:  # proved prime: lift at once
-        rs = _spread(p, e, *_lift(poly, p, e))
-        if not rs:
+        classes = _root_classes(poly, p, e)
+        if not classes:
             return []
-        parts.append((p ** e, rs))
-    combined = [0]
-    mod = 1
-    for pe, rs in parts:
-        inv = pow(mod, -1, pe)
-        combined = [s + mod * ((t - s) * inv % pe) for s in combined for t in rs]
-        if len(combined) > _ROOT_SET_LIMIT:
-            raise ValueError("root set too large to enumerate")
-        mod *= pe
-    return sorted(combined)
+        parts.append((p ** e, classes))
+    return _root_list(parts)
 
 
 def _largest_value(poly: QuadPoly, x: int) -> int:

@@ -152,16 +152,18 @@ def test_prime_power_roots_match_brute():
             assert prime_power_roots(poly, p, r) == brute_roots(poly, p**r)
 
 
-def test_square_classes_match_brute():
-    # the classes mod p^2 cover exactly the roots mod p^2, each once: content
+def test_root_classes_match_brute():
+    # the classes mod p^r cover exactly the roots mod p^r, each once: content
     # p and p^2, p = 2, singular roots, and p | a
     for coeffs in [*BATTERY, (4, 0, 8), (9, 9, 18), (25, 0, 50), (3, 0, 1), (1, 2, 1)]:
         for p in (2, 3, 5, 7, 13):
-            q = p * p
-            classes = quad_poly._square_classes(coeffs, p)
-            hits = sorted(t for t0, step in classes for t in range(t0, q, step))
-            assert hits == brute_roots(QuadPoly(*coeffs), q), (coeffs, p)
-            assert all(0 <= t < step and step in (1, p, q) for t, step in classes)
+            for r in range(1, 5):
+                q = p**r
+                classes = quad_poly._root_classes(coeffs, p, r)
+                assert all(0 <= t < m and q % m == 0 for t, m in classes), (coeffs, p, r)
+                hits = sorted(t for t0, m in classes for t in range(t0, q, m))
+                assert len(set(hits)) == len(hits), (coeffs, p, r)  # disjoint
+                assert hits == brute_roots(QuadPoly(*coeffs), q), (coeffs, p, r)
 
 
 def test_rho_multiplicative():
@@ -218,6 +220,57 @@ def test_rho_matches_brute_at_singular_roots(p, r, a, j, k, t, u):
     # depths set by j and k
     poly = QuadPoly(a, -2 * a * t + p**j * u, a * t * t + p**k * u)
     assert rho(poly, p**r) == brute_root_count(poly, p**r)
+    assert prime_power_roots(poly, p, r) == brute_roots(poly, p**r)
+
+
+def test_listing_refuses_only_large_answers():
+    # (x - t)^2 - 2 * 3^36 with t = isqrt(2 * 3^36): 3^18 roots mod 3^36 and
+    # none mod 3^37, though there are 3^14 roots mod 3^28
+    t = math.isqrt(2 * 3**36)
+    poly = QuadPoly(1, -2 * t, t * t - 2 * 3**36)
+    assert (poly.b, poly.c) == (-1095790618, -969792761)
+    c = 1499 * 1511  # c (x^2 + 1) mod c: every residue, more than the limit
+    tracemalloc.start()
+    try:
+        assert rho(poly, 3**36) == 3**18
+        assert prime_power_roots(poly, 3, 37) == []
+        assert roots_mod(poly, 3**37) == []
+        with pytest.raises(ValueError, match="too large"):
+            prime_power_roots(poly, 3, 36)
+        with pytest.raises(ValueError, match="too large"):
+            roots_mod(poly, 2 * 3**36)
+        with pytest.raises(ValueError, match="too large"):
+            roots_mod(QuadPoly(c, 0, c), c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_listing_refuses_exactly_past_the_limit(monkeypatch):
+    # refused when the answer holds more roots than the limit, however few
+    # each prime power of the modulus has, and listed in full otherwise
+    limit = 50
+    monkeypatch.setattr(quad_poly, "_ROOT_SET_LIMIT", limit)
+    refused = 0
+    for coeffs in BATTERY:
+        poly = QuadPoly(*coeffs)
+        for v in [*range(1, 400), 2**12, 3**7, 5**5, 1001 * 60]:
+            if rho(poly, v) > limit:
+                refused += 1
+                with pytest.raises(ValueError, match="too large"):
+                    roots_mod(poly, v)
+            else:
+                assert roots_mod(poly, v) == brute_roots(poly, v), (coeffs, v)
+        for p, r in [(2, 12), (3, 7), (5, 5), (7, 3)]:
+            for e in range(1, r + 1):
+                if rho(poly, p**e) > limit:
+                    refused += 1
+                    with pytest.raises(ValueError, match="too large"):
+                        prime_power_roots(poly, p, e)
+                else:
+                    assert prime_power_roots(poly, p, e) == brute_roots(poly, p**e)
+    assert refused > 0
 
 
 def test_hensel_stability():
