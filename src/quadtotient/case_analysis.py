@@ -10,13 +10,11 @@ row or record is made from n alone as it is written.
 
 ``survey`` and ``ew_density_probe`` factor each value at most once, by
 the root sieve of ``quad_poly``, and trial-divide none.
-``square_divisor_count`` sieves squares and factors nothing: p^2 | P(n)
-exactly when n lies in one of the classes of P's roots mod p^2, which
-``quad_poly``'s one lift gives (the square sieve, as in Estermann's count
-of the squarefree n^2 + 1), so only the values those classes hit are
-divided, by p^2; where isqrt(max P) passes
-the root sieve's reach of x, it factors the values by the root sieve
-instead.
+``square_divisor_count`` sieves squares and factors nothing: it walks
+the hits of ``quad_poly``'s sieves at p^2 (the square sieve, as in
+Estermann's count of the squarefree n^2 + 1), dividing only the values
+they hit, by p^2; where isqrt(max P) passes the root sieve's reach of x,
+it factors the values by the root sieve instead.
 
 ``survey`` takes one residue class of n mod 4 at a time: P(n) mod 4
 follows n mod 4, so each class's residue is read off P(1), ..., P(4).
@@ -75,8 +73,8 @@ from .quad_poly import (
     _prime_exponents,
     _prime_flags,
     _raw,
-    _root_classes,
     _root_sieve,
+    _segments,
     _sieve_bound,
     factor_values,
 )
@@ -95,10 +93,6 @@ __all__ = [
 
 _MIN_X_FOR_THRESHOLD = math.exp(math.e)  # loglog must exceed 1
 _MIN_T = math.e  # loglog T must be positive
-
-# The n whose square parts the square sieve holds at once: on x^2 + 1 at
-# x = 10^6 blocks of 2^12, 2^14 and 2^18 were no faster.
-_SQUARE_BLOCK = 1 << 16
 
 CSV_HEADER = "n,value,case,p_max,v,omega_T_pm1"
 
@@ -426,43 +420,33 @@ def survey(
 def square_divisor_count(poly: QuadPoly, x: int, bound: int) -> int:
     """How many n <= x have poly(n) divisible by a square above bound.
 
-    A square sieve that factors no value: p^2 | poly(n) exactly when n lies
-    in a class of ``_root_classes`` at r = 2, so each prime p <= isqrt(max P)
-    walks its classes, takes the square part p^(e - e mod 2) of each value
-    it hits, and multiplies it into that n's square part; an n no prime
-    hits has square part 1.  The n are taken one block at a time, and each
-    class waits in the bucket of the block holding its next term, so only
-    the classes with a term up to x are held, and the square parts of one
-    block.  Where isqrt(max P) passes the root sieve's reach of x, as for a
-    large leading coefficient and a small x, finding the classes of every
-    prime costs more than factoring, and the values are factored instead.
+    A square sieve that factors no value: each prime p <= isqrt(max P)
+    walks the n with p^2 | poly(n), takes the square part p^(e - e mod 2)
+    of each value it hits, and multiplies it into that n's square part; an
+    n no prime hits has square part 1.  The hits come one segment of n at
+    a time, by the root sieve's walk, so only the square parts of one
+    segment are held.  Where isqrt(max P) passes the root sieve's reach of
+    x, as for a large leading coefficient and a small x, finding the roots
+    mod p^2 of every prime costs more than factoring, and the values are
+    factored instead.
     """
     if x < 1 or bound < 1:
         raise ValueError("square_divisor_count requires x >= 1 and bound >= 1")
     reach = math.isqrt(_largest_value(poly, x))
     if reach > _SIEVE_REACH * x:
         return sum(1 for f in factor_values(poly, x) if f.largest_square_divisor() > bound)
-    buckets: dict[int, list[tuple[int, int, int]]] = {}  # block -> (next term, step, p)
-    for p in iter_primes(reach):
-        for t, step in _root_classes(poly, p, 2):
-            if (first := t or step) <= x:
-                buckets.setdefault(first // _SQUARE_BLOCK, []).append((first, step, p))
     a, b, c = poly
     count = 0
-    for block in range(x // _SQUARE_BLOCK + 1):
+    for ns, hits in _segments(poly, [range(1, x + 1)], reach, 2):
         parts: dict[int, int] = {}  # n -> the square part of poly(n), for the n hit
-        end = min((block + 1) * _SQUARE_BLOCK, x + 1)
-        for first, step, p in buckets.pop(block, ()):
+        for p, stride, i in hits:
             q = p * p
-            for n in range(first, end, step):
+            for n in ns[i::stride]:
                 v, part = ((a * n + b) * n + c) // q, q
                 while v % q == 0:
                     v //= q
                     part *= q
                 parts[n] = parts.get(n, 1) * part
-            n += step  # the first term past the block
-            if n <= x:
-                buckets.setdefault(n // _SQUARE_BLOCK, []).append((n, step, p))
         count += sum(part > bound for part in parts.values())
     return count
 

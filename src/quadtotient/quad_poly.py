@@ -9,22 +9,22 @@ n = t (mod m) with m | p^r: it takes out the content p^s at p once, lifts
 a root mod p where the derivative is a unit to its one root mod p^(r - s),
 and recurses on poly(t + p u) at a singular root t, so that the p roots
 of (x + 1)^2 mod p^2 are the one class -1 mod p.  ``rho`` counts p^r / m
-over the classes, the square sieve walks the classes at r = 2, and
-``prime_power_roots`` and ``roots_mod`` count them before they list
-anything.  For p not dividing 2*a*D there are 1 + (D|p) roots, 0 or 2, at
-every level.  p is proved prime once: by factorize in rho and roots_mod,
-else before the lift.
+over the classes, every sieve walks them (at r = 1, and at r = 2 for
+squares), and ``prime_power_roots`` and ``roots_mod`` count them before
+they list anything.  For p not dividing 2*a*D there are 1 + (D|p) roots,
+0 or 2, at every level.  p is proved prime once: by factorize in rho and
+roots_mod, else before the lift.
 
 ``factor_values`` factors a run of values P(n) at once with a root sieve
 (the quadratic-sieve idea: Pomerance 1982; Crandall and Pomerance, Prime
-Numbers, section 6.1).  A prime p divides P(n) exactly when n falls on a
-root t of P mod p, so for each prime up to a bound B it divides p out of
-the values along n = t (mod p) and nowhere else; no value is
-trial-divided.  The roots come from the quadratic formula mod p, the
-sieved primes are not tested again, and the content gcd(a, b, c) is
-taken once: a prime dividing it divides every value.  A cofactor left
-with no prime factor up to B is prime below (B + 1)^2 and otherwise goes
-to Miller-Rabin and Brent.
+Numbers, section 6.1).  A prime p divides P(n) exactly when n falls in a
+class of the roots of P mod p, so for each prime up to a bound B it
+divides p out of the values along those classes and nowhere else; no
+value is trial-divided.  The roots come from the quadratic formula mod p,
+a prime dividing the content gcd(a, b, c) has the one class of every n,
+and the sieved primes are not tested again.  A cofactor left with no
+prime factor up to B is prime below (B + 1)^2 and otherwise goes to
+Miller-Rabin and Brent.
 
 The bound is B = max(min(isqrt(max P), x), min(16 x, isqrt(max P //
 content))): the sieve reaches past x, where a prime not dividing the
@@ -39,17 +39,17 @@ about 0.19 s against 0.25 s on a 2-vCPU Python 3.11 host (8 x and 32 x
 were no faster); a fixed B = 2^16 made the 5040x^2 + 5040 survey at
 x = 300 take about 46 ms of CPU against 27 ms.
 
-The values are held one segment of 1024 at a time.  Each root
-progression waits in the bucket of the segment holding its next term, so
-a segment visits only the primes that divide some value in it; the root
-lists of all primes up to B are kept.  The sieve runs over one or more
-progressions of n with one step, finding each prime's roots once for all
-of them, by one walk over the primes that two lighter whole-range sieves
-share: one flags the values with no prime factor up to a bound, by slice
+Every sieve runs over one or more progressions of n with one step, and
+takes its hits from ``_hits``: the indices whose n lie in a class of the
+roots mod p^r, each prime's classes found once for all the progressions.
+The root sieve and the square sieve of ``case_analysis`` hold one segment
+of values at a time, by one walk, ``_segments``, so a segment visits only
+the primes that divide some value in it.  Two lighter sieves walk whole
+ranges: one flags the values with no prime factor up to a bound, by slice
 assignment into a bytearray, and one counts the prime factors up to a
-bound of chosen values only, walking a bytearray mask of them at C
-speed.  ``case_analysis.survey`` runs them on P + 1 (whose constant may
-pass 2^31, so they take any coefficient triple) and on P.
+bound of chosen values only, over a bytearray mask of them at C speed.
+``case_analysis.survey`` runs them on P + 1 (whose constant may pass
+2^31, so they take any coefficient triple) and on P.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ COEF_LIMIT = 1 << 31
 # is refused, counted from its classes, before any root is listed.
 _ROOT_SET_LIMIT = 1 << 21
 
-# Values held at once by the root sieve (the root lists are kept whole,
-# bucketed by the segment of their next term); a larger segment costs
-# memory for no measured speed-up.
+# Indices held at once by the segment walk of the root and square sieves.
+# A larger segment costs memory for little time: 2^16 made squares of
+# x^2 + 1 at 10^6 about 3% faster and its traced peak 0.62 MB, not 0.30.
 _SEGMENT = 1024
 
 # How far the root sieve may reach, as a multiple of x (see _sieve_bound).
@@ -155,20 +155,20 @@ def _tonelli_shanks(a: int, p: int) -> set[int]:
     """All x in [0, p) with x^2 = a (mod p), for a modulus known to be an odd prime.
 
     Empty iff a is a nonresidue; {0} iff p divides a; two roots otherwise.
-    Residues are told by Euler's criterion, one modular power, with no
-    Kronecker call.
+    One modular power gives r = a^((q + 1)/2) and t = a^q, p - 1 = q 2^s,
+    and tells residues by Euler's criterion, with no Kronecker call.
     """
     a %= p
     if a == 0:
         return {0}
-    if pow(a, p >> 1, p) != 1:  # Euler's criterion
-        return set()
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    r = pow(a, (q + 1) // 2, p)
-    t = pow(a, q, p)
+    h = pow(a, q >> 1, p)
+    r, t = h * a % p, h * h * a % p
+    if pow(t, 1 << (s - 1), p) != 1:  # Euler's criterion: t^(2^(s - 1)) = a^((p - 1)/2)
+        return set()
     if t != 1:  # else r is a root already, as always for p = 3 (mod 4)
         z = 2
         while pow(z, p >> 1, p) != p - 1:
@@ -231,8 +231,7 @@ def _root_classes(poly: tuple[int, int, int], p: int, r: int) -> list[tuple[int,
     q = p ** (r - s)
     classes = []
     for t in _roots_mod_prime(poly, p):
-        deriv = 2 * a * t + b
-        if deriv % p == 0 and s < r - 1:
+        if s < r - 1 and (deriv := 2 * a * t + b) % p == 0:
             lifts = _root_classes((a * p * p, deriv * p, _raw(poly, t)), p, r - s)
             classes.extend((t + p * u, p * m) for u, m in lifts)
             continue
@@ -329,9 +328,7 @@ def factor_values(
     Every poly(1), ..., poly(x) must be positive; that and the 2^63 value
     range are checked on the call, before the generator is returned.
     Equal to factorize on each value, by the root sieve described in the
-    module docstring: on the progression, a prime p not dividing ``step``
-    divides the terms whose n is a root of poly mod p, and one dividing
-    ``step`` divides every term or none.  The sieved primes run up to
+    module docstring.  The sieved primes run up to
     B = max(min(isqrt(max P), x), min(16 x, isqrt(max P // content))),
     with max P taken over all of [1, x]; past x the roots cost less than
     the Brent walks they save (measured in the module docstring).
@@ -354,66 +351,82 @@ def _sieve_bound(poly: QuadPoly, x: int) -> int:
 
 
 def _hits(
-    poly: tuple[int, int, int], ranges: list[range], bound: int
+    poly: tuple[int, int, int], ranges: list[range], bound: int, r: int = 1
 ) -> Iterator[tuple[int, int, int, int]]:
     """(j, p, stride, k) for each prime p <= bound and each progression of
-    indices k, k + stride, ... below len(ranges[j]) at which p divides
-    poly(ranges[j][k]): the one walk of the three sieves below.
+    indices k, k + stride, ... below len(ranges[j]) at which p^r divides
+    poly(ranges[j][k]): the one source of the sieves below.
 
-    The roots of poly mod p are found once for all the ranges.  A prime
-    dividing neither the step nor the content gcd(a, b, c) divides poly(n)
-    exactly at the roots t, so at k = (t - start) / step mod p; one
-    dividing either divides every term or none.
+    Each prime's classes (t, m) come from ``_root_classes`` once for all
+    the ranges.  n = start + k step is in one where k step = t - start
+    (mod m): for g = gcd(step, m), nowhere unless g | t - start, else at
+    k = (t - start) / g * u^-1 (mod m / g), u the step's part prime to p.
+    So the content's class (0, 1), and a class mod a power of p dividing
+    the step, hold every k or none.
     """
-    content = math.gcd(math.gcd(poly[0], poly[1]), poly[2])
+    spans = [(ns.start, ns.step, len(ns)) for ns in ranges]
     for p in iter_primes(bound):
-        roots = _roots_mod_prime(poly, p) if content % p else ()
-        for j, ns in enumerate(ranges):
-            if ns.step % p and content % p:
-                inv = pow(ns.step, -1, p)
-                for t in roots:
-                    if (k := (t - ns.start) * inv % p) < len(ns):
-                        yield j, p, p, k
-            elif ns and _raw(poly, ns.start) % p == 0:
-                yield j, p, 1, 0
+        classes = _root_classes(poly, p, r)
+        if not classes:
+            continue
+        for j, (start, step, size) in enumerate(spans):
+            unit = step
+            while unit % p == 0:
+                unit //= p
+            inv = pow(unit, -1, p**r) if unit > 1 else 1  # an inverse costs more than a hit
+            for t, m in classes:
+                g = math.gcd(step, m)
+                d = t - start
+                if d % g == 0 and (k := d // g * inv % (m // g)) < size:
+                    yield j, p, m // g, k
+
+
+def _segments(
+    poly: tuple[int, int, int], ranges: list[range], bound: int, r: int = 1
+) -> Iterator[tuple[range, list[tuple[int, int, int]]]]:
+    """(segment, hits) for each run of up to _SEGMENT indices of each range
+    in turn: its n as a sub-range, and the hits (p, stride, i) of ``_hits``
+    with a term there, the first at place i.  A hit waits in the bucket of
+    the segment of its next index, and moves on once the caller walked it.
+    """
+    buckets: list[dict[int, list[tuple[int, int, int]]]] = [{} for _ in ranges]
+    for j, p, stride, k in _hits(poly, ranges, bound, r):
+        buckets[j].setdefault(k // _SEGMENT, []).append((p, stride, k % _SEGMENT))
+    for ns, bucket in zip(ranges, buckets):
+        for lo in range(0, len(ns), _SEGMENT):
+            hits = bucket.pop(lo // _SEGMENT, [])
+            yield ns[lo : lo + _SEGMENT], hits
+            for p, stride, i in hits:
+                k = lo + i + ((_SEGMENT - 1 - i) // stride + 1) * stride  # first past the segment
+                if k < len(ns):
+                    bucket.setdefault(k // _SEGMENT, []).append((p, stride, k % _SEGMENT))
 
 
 def _root_sieve(poly: QuadPoly, ranges: list[range], bound: int) -> Iterator[Factorization]:
-    # the factorizations of poly(n) for each n of each range in turn; each
-    # hit (p, stride, k) is a progression of indices k, k + stride, ... of
-    # one range whose terms have a value divisible by p; it waits in that
-    # range's bucket of the segment holding its next index k, so a segment
-    # visits only the hits that fall in it
-    buckets: list[dict[int, list[tuple[int, int, int]]]] = [{} for _ in ranges]
-    for j, p, stride, k in _hits(poly, ranges, bound):
-        buckets[j].setdefault(k // _SEGMENT, []).append((p, stride, k))
+    # the factorizations of poly(n) for each n of each range in turn: each
+    # hit of a segment divides p out of the values along its progression
     prime_below = (bound + 1) ** 2
-    for ns, bucket in zip(ranges, buckets):
-        for lo in range(0, len(ns), _SEGMENT):
-            values = [_raw(poly, n) for n in ns[lo : lo + _SEGMENT]]
-            rest = values[:]
-            found: list[list[tuple[int, int]]] = [[] for _ in values]
-            hi = lo + len(values)
-            for p, stride, k in bucket.pop(lo // _SEGMENT, ()):
-                for i in range(k - lo, len(values), stride):
-                    r, e = rest[i] // p, 1
-                    while r % p == 0:
-                        r //= p
-                        e += 1
-                    rest[i] = r
-                    found[i].append((p, e))
-                k += (hi - k + stride - 1) // stride * stride
-                if k < len(ns):
-                    bucket.setdefault(k // _SEGMENT, []).append((p, stride, k))
-            for value, r, factors in zip(values, rest, found):
-                factors.sort()
-                if r >= prime_below:
-                    exps: dict[int, int] = {}
-                    _factor_into(r, exps)
-                    factors.extend(sorted(exps.items()))
-                elif r > 1:
-                    factors.append((r, 1))
-                yield Factorization(value, tuple(factors))
+    for ns, hits in _segments(poly, ranges, bound):
+        values = [_raw(poly, n) for n in ns]
+        rest = values[:]
+        found: list[list[tuple[int, int]]] = [[] for _ in values]
+        for p, stride, start in hits:
+            for i in range(start, len(values), stride):
+                r, e = rest[i] // p, 1
+                while r % p == 0:
+                    r //= p
+                    e += 1
+                rest[i] = r
+                found[i].append((p, e))
+        for value, r, factors in zip(values, rest, found):
+            factors.sort()
+            if r >= prime_below:
+                exps: dict[int, int] = {}
+                _factor_into(r, exps)
+                factors.extend(sorted(exps.items()))
+            elif r > 1:
+                factors.append((r, 1))
+            yield Factorization(value, tuple(factors))
 
 
 def _prime_flags(poly: tuple[int, int, int], ranges: list[range], bound: int) -> list[bytearray]:

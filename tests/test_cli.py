@@ -396,14 +396,18 @@ def test_large_fiber_output_pinned(capsys, args, digest):
         # 10,000 values 0 (mod 4), most of them nontotients, whose scans the cut serves
         (["survey", "--poly=1,1,2", "--x", "20000", "--T", "50", "--format", "csv"],
          "64cef7fcb49611b0c58179721f644a22d202b602591969a62ed34a6ca1e749a2"),
+        # 2 (n^2 + 1): p = 2 divides the content and the step 2 of both classes
+        (["survey", "--poly=2,0,2", "--x", "2000", "--T", "50", "--format", "csv"],
+         "ba5d02f369219238d300e1a8513c77ac0f2ac0d2807602fb09fb32a728b9c345"),
     ],
 )
 def test_sweep_output_pinned(capsys, args, digest):
     # digests of the output from before the root sieve, when every value was
     # trial-divided, (the fourth and fifth) from before the 2-adic prune, when
     # every even divisor d got a primality test of d + 1, (the sixth) from
-    # before the JSON records were built from CaseRecord.row, and (the last)
-    # from before the cut at the largest odd prime of each rest
+    # before the JSON records were built from CaseRecord.row, (the seventh)
+    # from before the cut at the largest odd prime of each rest, and (the
+    # last) from before every sieve took its primes' classes from one lift
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest

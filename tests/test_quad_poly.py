@@ -166,6 +166,55 @@ def test_root_classes_match_brute():
                 assert hits == brute_roots(QuadPoly(*coeffs), q), (coeffs, p, r)
 
 
+# progressions of n whose steps are prime to p, or divisible by p, p^2 or p^3
+_STEPS = (1, 2, 4, 6, 9, 25, 30)
+
+
+def _spread(hits, ranges):
+    # the (j, p, k) of every term of every progression (j, p, stride, k), one per term
+    return sorted(
+        (j, p, k) for j, p, stride, start in hits for k in range(start, len(ranges[j]), stride)
+    )
+
+
+def test_hits_match_brute():
+    # every (range, p, index) with p^r | poly(n), each once: content p and
+    # p^2, p | step, singular roots and p | a
+    ranges = [range(start, 151, step) for start in range(1, 6) for step in _STEPS]
+    primes = primes_up_to(13)
+    for coeffs in [*BATTERY, (4, 0, 8), (9, 9, 18), (25, 0, 50), (3, 0, 1), (1, 2, 1)]:
+        poly = QuadPoly(*coeffs)
+        for r in (1, 2, 3):
+            brute = sorted(
+                (j, p, k) for j, ns in enumerate(ranges) for p in primes
+                for k, n in enumerate(ns) if poly(n) % p**r == 0
+            )
+            assert _spread(quad_poly._hits(coeffs, ranges, 13, r), ranges) == brute, (coeffs, r)
+
+
+@pytest.mark.parametrize("size", [1, 3, 7])
+@pytest.mark.parametrize("r", [1, 2])
+def test_segments_yield_every_hit_once(monkeypatch, size, r):
+    # an empty range, one shorter than a segment, and ranges of several segments
+    monkeypatch.setattr(quad_poly, "_SEGMENT", size)
+    ranges = [range(1, 60), range(5, 5), range(2, 7, 3), range(3, 100, 4), range(7, 90, 25)]
+    coeffs = (2, 0, 18)  # content 2, and 3 | D
+    cuts = [(j, lo) for j, ns in enumerate(ranges) for lo in range(0, len(ns), size)]
+    walked = list(quad_poly._segments(coeffs, ranges, 20, r))
+    assert [segment for segment, _ in walked] == [ranges[j][lo : lo + size] for j, lo in cuts]
+    seen = []
+    for (j, lo), (segment, hits) in zip(cuts, walked):
+        assert all(0 <= i < len(segment) for _, _, i in hits)
+        seen.extend(sorted(
+            (j, lo + i, p) for p, stride, start in hits for i in range(start, len(segment), stride)
+        ))
+    # every term of every hit once, each in its own segment, which come in ascending order
+    assert seen == sorted(seen)
+    assert sorted((j, p, k) for j, k, p in seen) == _spread(
+        quad_poly._hits(coeffs, ranges, 20, r), ranges
+    )
+
+
 def test_rho_multiplicative():
     pairs = [(3, 4), (5, 8), (7, 9), (25, 16), (11, 27), (13, 125), (49, 81),
              (2, 9), (101, 64), (243, 49), (17, 288)]
@@ -346,13 +395,15 @@ def test_argument_guards(call, message):
 
 def _sieve_matches_factorize(poly, x, start, step):
     try:
-        got = list(factor_values(poly, x, start, step))
-    except ValueError:  # some value on [1, x] is below 1
+        sieve = factor_values(poly, x, start, step)
+    except ValueError:  # some value on [1, x] is below 1, refused on the call
         assume(False)
-    assert got == [factorize(poly(n)) for n in range(start, x + 1, step)]
+    assert list(sieve) == [factorize(poly(n)) for n in range(start, x + 1, step)]
 
 
-_PROGRESSIONS = (st.integers(min_value=1, max_value=3), st.integers(min_value=1, max_value=3))
+_PROGRESSIONS = (
+    st.integers(min_value=1, max_value=3), st.sampled_from((1, 2, 3, 4, 6, 9, 10, 25))
+)
 
 
 @settings(deadline=None)
